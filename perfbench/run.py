@@ -11,9 +11,10 @@ Everything the run writes stays under that build directory.
 The last line of stdout is one JSON object with exactly the keys
 `correct`, `attempted`, `failed` and `metrics`. Earlier lines are the
 program's log: `ENV {...}` records the environment, `REF {...}` the run's
-deterministic values. run.py keeps the REF values of the first run of each
-(program binary, workload, seed, seconds, trace) and counts any later run
-that disagrees as a failed correctness check.
+deterministic values, each under a key that names what it depends on (for
+example `serve.prepass_hits`, `train.evaluate_auc.epochs10`). run.py keeps
+the first value seen for each key and program binary, and counts any later
+run whose value differs as a failed correctness check.
 """
 
 import argparse
@@ -52,33 +53,37 @@ def build(root, build_dir):
     return os.path.join(build_dir, "zoomer_perfbench")
 
 
-def check_refs(build_dir, binary, args, refs, result):
-    """Compares this run's deterministic values with those of the first run
-    of the same binary, workload, seed, length and trace mode."""
+def check_refs(build_dir, binary, refs, result):
+    """Compares this run's deterministic values with those of earlier runs
+    of the same program binary. Each REF key names everything its value
+    depends on, so runs of any seed, length or trace mode check each
+    other wherever a key recurs."""
     if not refs:
         return
     with open(binary, "rb") as f:
         build_id = hashlib.sha1(f.read()).hexdigest()[:16]
-    ref_dir = os.path.join(build_dir, "ref", build_id)
+    ref_dir = os.path.join(build_dir, "ref")
     os.makedirs(ref_dir, exist_ok=True)
-    path = os.path.join(ref_dir, "%s-seed%d-s%g-t%d.json" % (
-        args.workload, args.seed, args.seconds, args.trace))
-    if not os.path.exists(path):
-        with open(path, "w") as f:
-            json.dump(refs, f)
-        return
-    with open(path) as f:
-        first = json.load(f)
-    for key, value in sorted(refs.items()):
-        if key not in first:
-            continue
-        result["attempted"] += 1
-        if first[key] != value:
-            result["failed"] += 1
-            result["correct"] = False
-            print("# CHECK FAILED: %s = %r differs from %r of an earlier "
-                  "run with the same seed" % (key, value, first[key]),
-                  flush=True)
+    path = os.path.join(ref_dir, build_id + ".json")
+    with open(path + ".lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        first = {}
+        if os.path.exists(path):
+            with open(path) as f:
+                first = json.load(f)
+        for key, value in sorted(refs.items()):
+            if key not in first:
+                first[key] = value
+                continue
+            result["attempted"] += 1
+            if first[key] != value:
+                result["failed"] += 1
+                result["correct"] = False
+                print("# CHECK FAILED: %s = %r differs from %r of an earlier "
+                      "run" % (key, value, first[key]), flush=True)
+        with open(path + ".tmp", "w") as f:
+            json.dump(first, f, sort_keys=True)
+        os.replace(path + ".tmp", path)
 
 
 def main():
@@ -147,7 +152,7 @@ def main():
     if sorted(result) != ["attempted", "correct", "failed", "metrics"]:
         log("unexpected result keys: %s" % sorted(result))
         return 3
-    check_refs(build_dir, binary, args, refs, result)
+    check_refs(build_dir, binary, refs, result)
     print(json.dumps(result), flush=True)
     return 0
 

@@ -24,10 +24,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdarg>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -42,6 +40,7 @@
 #include <sys/prctl.h>
 
 #include "baselines/registry.h"
+#include "bench_util.h"
 #include "common/random.h"
 #include "core/trainer.h"
 #include "core/zoomer_model.h"
@@ -77,9 +76,16 @@ constexpr int kServeScale = 4;
 constexpr int kEmbeddingDim = 32;
 constexpr int kTopN = 100;             // HitRate@100
 constexpr int kHandlerThreads = 2;     // + 1 generator (+ 1 ingest feeder)
-constexpr double kFixedRateQps = 7000; // offered rate of the latency phase
+// Offered rates of the fixed-rate phase, at most about half of each
+// workload's capacity on the 4-vCPU machine the benchmark was sized on
+// (serve_static 15k-31k/s; serve_ingest 8.9k-15k/s, and lower while the
+// host is slow), so the latency figures are not taken near saturation.
+constexpr double kStaticFixedQps = 7000;
+constexpr double kIngestFixedQps = 4500;
 constexpr double kRywShare = 0.3;        // requests carrying a SessionToken
-constexpr int64_t kThinkTimeNs = 20'000'000;  // write ack -> next read
+// Live sessions offered per second on serve_ingest. README.md records the
+// probes behind it: at 5,000/s the write path left the two handlers too
+// little of the 4 vCPUs, and latency and capacity swung with the host.
 constexpr double kIngestSessionsPerSec = 1000;
 constexpr int kShards = 2;
 constexpr int kReplication = 2;
@@ -406,37 +412,60 @@ int64_t HistogramP99Delta(const zoomer::obs::RegistrySnapshot& before,
   return 0;
 }
 
-// ------------------------------------------------------- serving setup ---
-
-zoomer::data::TaobaoGeneratorOptions ServeDatasetOptions(uint64_t seed) {
-  zoomer::data::TaobaoGeneratorOptions opt;
-  opt.seed = seed;
-  opt.p_click_in_category = 0.7;
-  opt.p_interest_drift = 0.25;
-  opt.max_user_interests = 5;
-  opt.hard_negative_fraction = 0.25;
-  opt.taste_tournament = 4;
-  opt.num_users = 1600 * kServeScale;
-  opt.num_queries = 1600 * kServeScale;
-  opt.num_items = 3200 * kServeScale;
-  opt.num_sessions = 12000 * kServeScale;
-  opt.num_categories = 20;
-  return opt;
+/// Counters and histograms named under one of `prefixes` that moved
+/// between two snapshots of the same registry.
+std::vector<std::string> MovedMetrics(
+    const zoomer::obs::RegistrySnapshot& before,
+    const zoomer::obs::RegistrySnapshot& after,
+    const std::vector<std::string>& prefixes) {
+  std::vector<std::string> moved;
+  for (const auto& p : after.points) {
+    if (p.kind == zoomer::obs::MetricKind::kGauge) continue;
+    if (std::none_of(prefixes.begin(), prefixes.end(),
+                     [&](const std::string& x) {
+                       return p.name.compare(0, x.size(), x) == 0;
+                     })) {
+      continue;
+    }
+    const auto* b = before.Find(p.name);
+    const bool changed =
+        p.kind == zoomer::obs::MetricKind::kHistogram
+            ? p.hist.count() != (b != nullptr ? b->hist.count() : 0)
+            : p.value != (b != nullptr ? b->value : 0.0);
+    if (changed) moved.push_back(p.name);
+  }
+  return moved;
 }
 
-zoomer::data::TaobaoGeneratorOptions TrainDatasetOptions(uint64_t seed) {
-  zoomer::data::TaobaoGeneratorOptions opt;
-  opt.seed = seed;
-  opt.p_click_in_category = 0.7;
-  opt.p_interest_drift = 0.25;
-  opt.max_user_interests = 5;
-  opt.hard_negative_fraction = 0.25;
-  opt.taste_tournament = 4;
-  opt.num_users = 400;
-  opt.num_queries = 400;
-  opt.num_items = 800;
-  opt.num_sessions = 3000;
-  opt.num_categories = 12;
+/// A bypass prediction: the modules under `prefixes` record nothing in
+/// either registry over the measured phase.
+void CheckIdle(const std::string& what,
+               const std::vector<std::string>& prefixes,
+               const zoomer::obs::RegistrySnapshot& own0,
+               const zoomer::obs::RegistrySnapshot& own1,
+               const zoomer::obs::RegistrySnapshot& global0,
+               const zoomer::obs::RegistrySnapshot& global1, Report* rep) {
+  std::string moved;
+  for (const auto& name : MovedMetrics(own0, own1, prefixes)) {
+    moved += " " + name;
+  }
+  for (const auto& name : MovedMetrics(global0, global1, prefixes)) {
+    moved += " " + name + " (global)";
+  }
+  rep->Check(moved.empty(), what + " records nothing; moved:" + moved);
+}
+
+// ------------------------------------------------------- serving setup ---
+
+/// The billion-scale stand-in of the per-figure benches with kServeScale
+/// times the users, queries, items and sessions.
+zoomer::data::TaobaoGeneratorOptions ServeDatasetOptions() {
+  auto opt = zoomer::bench::ScaleOptions(zoomer::bench::GraphScale::kBillion,
+                                         kServeGraphSeed);
+  opt.num_users *= kServeScale;
+  opt.num_queries *= kServeScale;
+  opt.num_items *= kServeScale;
+  opt.num_sessions *= kServeScale;
   return opt;
 }
 
@@ -533,8 +562,8 @@ class FreshnessProbe {
 };
 
 /// The primary's applied epoch over time, recorded by the update listener,
-/// so a read-your-writes request can carry the epoch its session's write
-/// had when it was acknowledged (the think time before the request).
+/// so a read-your-writes request carries the newest epoch applied at its
+/// due time, whatever the queue delay before a handler takes it.
 class EpochHistory {
  public:
   void OnUpdate(uint64_t epoch) {
@@ -618,7 +647,7 @@ std::unique_ptr<ServeSystem> BuildServeSystem(uint64_t seed, bool ingest,
   auto sys = std::make_unique<ServeSystem>();
   int64_t t0 = NowNs();
   sys->ds =
-      zoomer::data::GenerateTaobaoDataset(ServeDatasetOptions(kServeGraphSeed));
+      zoomer::data::GenerateTaobaoDataset(ServeDatasetOptions());
   const auto& g = sys->ds.graph;
   times->generate_s = Seconds(NowNs() - t0);
 
@@ -778,9 +807,10 @@ class RequestOrder {
 
 /// Serves request `i` and reports whether the pooled item was retrieved.
 /// A fixed share of requests comes from sessions whose write was
-/// acknowledged kThinkTimeNs before the request was due: their reads must
-/// see it, so they route through the replica-group engine (the token is a
-/// no-op on the static graph, which has no writes).
+/// acknowledged just before the request was due: each carries the newest
+/// epoch the primary had applied at its due time, so its reads route
+/// through the replica-group engine under that freshness floor (the token
+/// is a no-op on the static graph, which has no writes).
 struct Served {
   bool ok = false;
   bool hit = false;
@@ -789,7 +819,7 @@ Served ServeOne(ServeSystem* sys, size_t pool_index, int64_t i,
                 int64_t due_ns) {
   zoomer::serving::SessionToken token;
   if (static_cast<double>(i % 10) < kRywShare * 10) {
-    token.Observe(sys->epochs.EpochAt(due_ns - kThinkTimeNs));
+    token.Observe(sys->epochs.EpochAt(due_ns));
   }
   zoomer::serving::ServingResponse resp;
   {
@@ -850,7 +880,7 @@ struct LoadResult {
 };
 
 /// Open loop at a fixed rate: one generator thread releases request i at
-/// due_i = t0 + i / rate into a FIFO; kHandlerThreads handlers serve it.
+/// due_i = t0 + i / rate; kHandlerThreads handlers serve them in order.
 /// Latency is measured from due_i, so a stall also charges the requests
 /// queued behind it. Percentiles are also taken per window of `windows`
 /// equal slices of the schedule, so one stall of the shared host moves
@@ -866,10 +896,12 @@ LoadResult RunOpenLoop(ServeSystem* sys, double qps, double seconds,
   std::vector<uint8_t> ok(n, 0), hit(n, 0);
   res.late_ms.assign(n, 0.0);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<int64_t> queue;
-  bool closed = false;
+  // Request i is released when `released` passes i; a handler claims it
+  // by advancing `claimed`. Generator and handlers poll (yielding to any
+  // other runnable thread) instead of blocking, so no request waits for a
+  // halted virtual CPU to be woken.
+  std::atomic<int64_t> released{0}, claimed{0};
+  std::atomic<bool> closed{false};
   std::atomic<bool> abort{false};
   const int64_t t0 = NowNs() + 5'000'000;
   auto due = [&](int64_t i) {
@@ -877,37 +909,28 @@ LoadResult RunOpenLoop(ServeSystem* sys, double qps, double seconds,
   };
 
   std::thread generator([&] {
-    PreciseSleeps();
     int64_t i = 0;
     for (; i < n && !abort.load(std::memory_order_relaxed); ++i) {
       const int64_t d = due(i);
-      SleepUntil(d);
+      while (NowNs() < d) std::this_thread::yield();
       res.late_ms[i] = static_cast<double>(NowNs() - d) / 1e6;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        queue.push_back(i);
-      }
-      cv.notify_one();
+      released.store(i + 1, std::memory_order_release);
     }
     res.sent = i;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      closed = true;
-    }
-    cv.notify_all();
+    closed.store(true, std::memory_order_release);
   });
   std::vector<std::thread> handlers;
   for (int h = 0; h < kHandlerThreads; ++h) {
     handlers.emplace_back([&] {
       for (;;) {
-        int64_t i;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return closed || !queue.empty(); });
-          if (queue.empty()) return;
-          i = queue.front();
-          queue.pop_front();
+        const bool done = closed.load(std::memory_order_acquire);
+        int64_t i = claimed.load(std::memory_order_relaxed);
+        if (i >= released.load(std::memory_order_acquire)) {
+          if (done) return;
+          std::this_thread::yield();
+          continue;
         }
+        if (!claimed.compare_exchange_weak(i, i + 1)) continue;
         const int64_t d = due(i);
         const int64_t start = NowNs();
         // A backlog of a second means the rate is not sustainable: stop
@@ -1155,17 +1178,20 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
       sys->ds.all_items.size(), sys->pool.size(),
       static_cast<long long>(prepass_pos), kTopN, prepass_rate, kTopN,
       recall);
-  rep->Ref("prepass_hits", static_cast<double>(prepass_hits));
-  rep->Ref("ann_recall", recall);
+  // Neither depends on --seed: the graph, the export and the ANN index
+  // are fixed, and the pre-pass runs before any write.
+  rep->Ref("serve.prepass_hits", static_cast<double>(prepass_hits));
+  rep->Ref("serve.ann_recall", recall);
   rep->Check(recall > 0.5, "ANN recall@" + std::to_string(kTopN) +
                                " above 0.5 on the fixed sample");
 
+  const double qps = ingest ? kIngestFixedQps : kStaticFixedQps;
   std::unique_ptr<IngestFeeder> feeder;
   if (ingest) {
     feeder = std::make_unique<IngestFeeder>(sys.get(), seed, seconds);
     feeder->Start();
   }
-  RunOpenLoop(sys.get(), kFixedRateQps, std::clamp(0.04 * seconds, 0.2, 1.0),
+  RunOpenLoop(sys.get(), qps, std::clamp(0.04 * seconds, 0.2, 1.0),
               seed + 1, 1, nullptr);  // warm-up, not measured
 
   // Module counters at the start of the measured phase.
@@ -1195,12 +1221,12 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
   int64_t capacity_failed = 0;
   for (int c = 0; c < kCycles; ++c) {
     if (trace) {
-      untraced.Merge(RunOpenLoop(sys.get(), kFixedRateQps, slice_s,
+      untraced.Merge(RunOpenLoop(sys.get(), qps, slice_s,
                                  seed * 1000 + 2 * c, kWindowsPerSlice,
                                  nullptr));
     }
     Tracer::Get().Enable(trace);
-    run.Merge(RunOpenLoop(sys.get(), kFixedRateQps, slice_s,
+    run.Merge(RunOpenLoop(sys.get(), qps, slice_s,
                           seed * 1000 + 2 * c + 1, kWindowsPerSlice,
                           ingest ? nullptr : &prepass));
     Tracer::Get().Enable(false);
@@ -1212,10 +1238,24 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
     }
   }
   const auto snap1 = sys->reg.Snapshot();
+  const auto global1 = zoomer::obs::MetricsRegistry::Global()->Snapshot();
   const auto cache1 = sys->server->cache().Stats();
   int64_t pending_probes = 0;
   std::vector<double> visible_ms;
   if (ingest) visible_ms = sys->freshness.Stop(&pending_probes);
+
+  // Bypass predictions, read from the registries the modules fill. The
+  // tensor module has no metrics of its own; no serving code path calls it.
+  if (ingest) {
+    CheckIdle("serve_ingest: the ROI sampler (core)", {"sampler."}, snap0,
+              snap1, global0, global1, rep);
+  } else {
+    CheckIdle("serve_static: engine, streaming, maintenance, persist and "
+              "the ROI sampler (core)",
+              {"engine.", "streaming.", "maintenance.", "persist.",
+               "sampler."},
+              snap0, snap1, global0, global1, rep);
+  }
 
   // Drain and check the write path.
   zoomer::streaming::IngestStats ingest1;
@@ -1256,6 +1296,8 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
                                      std::to_string(pass_errors) +
                                      " errors)");
     rep->Check(!visible_ms.empty(), "freshness probes observed");
+    // No policy span may close while Tracer::Collect copies the buffers.
+    sys->janitor->Stop();
     Log("ingest: %lld sessions, %lld events applied; visible p50 %.4f ms "
         "p99 %.4f ms over %zu probes (%lld pending at stop)",
         static_cast<long long>(feeder->offered()),
@@ -1270,7 +1312,7 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
       "medians p50 %.4f ms, p90 %.4f ms, p99 %.4f ms (whole run p99 %.4f "
       "ms); failed %lld; generator late p99 %.4f ms; HitRate %.6f over %lld "
       "positives",
-      kFixedRateQps, kCycles, slice_s, run.latency_ms.size(),
+      qps, kCycles, slice_s, run.latency_ms.size(),
       Median(run.window_p50_ms), Median(run.window_p90_ms),
       Median(run.window_p99_ms), Percentile(run.latency_ms, 99),
       static_cast<long long>(run.failed), Percentile(run.late_ms, 99),
@@ -1292,7 +1334,7 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
           return w;
         }().c_str());
     rep->Operations(0, capacity_failed);
-    rep->Check(Median(capacity) > kFixedRateQps,
+    rep->Check(Median(capacity) > qps,
                "capacity exceeds the fixed offered rate");
     rep->Metric("setup_s", Median(totals), "s");
     rep->Metric("latency_p50_ms", Median(run.window_p50_ms), "ms");
@@ -1314,7 +1356,6 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
   const auto ann_d =
       HistogramDelta(snap0, snap1, "serving.ann_search_latency_us");
   const auto eng_d = HistogramDelta(snap0, snap1, "engine.request_latency_us");
-  const auto global1 = zoomer::obs::MetricsRegistry::Global()->Snapshot();
   const auto sampler_d = HistogramDelta(global0, global1, "sampler.batch_size");
 
   const double handle_us = span_mean("serving.handle");
@@ -1399,16 +1440,6 @@ int RunServe(bool ingest, uint64_t seed, double seconds, bool trace,
   layer["trace.spans"] = static_cast<double>(spans.size());
 
   EmitLayerMetrics(layer, rep);
-
-  // Bypass predictions.
-  if (!ingest) {
-    rep->Check(engine_calls == 0 && offers == 0 && comp_passes == 0 &&
-                   ckpt_passes == 0 && wal_appends == 0,
-               "serve_static: no engine, streaming, maintenance or persist "
-               "calls");
-  }
-  rep->Check(sampler_d.count == 0,
-             "serving workloads: no core (ROI sampler) calls");
   return 0;
 }
 
@@ -1551,8 +1582,8 @@ int RunTrain(uint64_t seed, double seconds, bool trace, Report* rep) {
     const double cal_before = CalibrationUs();
     const int64_t t0 = NowNs();
     auto d = std::make_unique<zoomer::data::RetrievalDataset>(
-        zoomer::data::GenerateTaobaoDataset(
-            TrainDatasetOptions(kTrainGraphSeed)));
+        zoomer::data::GenerateTaobaoDataset(zoomer::bench::ScaleOptions(
+            zoomer::bench::GraphScale::kMillion, kTrainGraphSeed)));
     const int64_t t1 = NowNs();
     auto model =
         zoomer::baselines::MakeModel("Zoomer", &d->graph, TrainModelParams());
@@ -1568,6 +1599,13 @@ int RunTrain(uint64_t seed, double seconds, bool trace, Report* rep) {
       Median(setups), static_cast<long long>(ds->graph.num_nodes()),
       ds->train.size(), ds->test.size());
   const auto global0 = zoomer::obs::MetricsRegistry::Global()->Snapshot();
+  // Bypass prediction: no serving-side module records anything.
+  auto check_serving_idle = [&] {
+    CheckIdle("train_roi: engine, streaming, maintenance, persist and serving",
+              {"engine.", "streaming.", "maintenance.", "persist.", "serving."},
+              {}, {}, global0,
+              zoomer::obs::MetricsRegistry::Global()->Snapshot(), rep);
+  };
 
   if (!trace) {
     // One Train call of several fixed-size epochs (the count scales with
@@ -1617,11 +1655,17 @@ int RunTrain(uint64_t seed, double seconds, bool trace, Report* rep) {
     // Evaluate scores the first test examples in order with this RNG seed.
     const std::vector<zoomer::data::Example> head(
         ds->test.begin(), ds->test.begin() + kCrossCheckExamples);
-    rep->Check(trainer.Evaluate(*ds, kCrossCheckExamples).auc ==
+    const double eval_auc = trainer.Evaluate(*ds, kCrossCheckExamples).auc;
+    rep->Check(eval_auc ==
                    ScoreExamples(model.get(), head, opts.seed + 17, &unused),
                "bench scoring matches ZoomerTrainer::Evaluate");
     rep->Operations(tr.examples_seen + static_cast<int64_t>(lat_ms.size()), 0);
-    rep->Ref("auc", auc);
+    // Evaluate's AUC depends only on the epoch count (the trajectory and
+    // its test examples are fixed); the scored subset's AUC on the seed.
+    const std::string epochs = ".epochs" + std::to_string(opts.epochs);
+    rep->Ref("train.evaluate_auc" + epochs, eval_auc);
+    rep->Ref("train.auc.seed" + std::to_string(seed) + epochs, auc);
+    check_serving_idle();
     Log("%lld examples in %.3f s (examples/s per epoch: %s); after epoch 0 "
         "%.1f examples/s, %.1f at the reference speed; AUC %.6f over %zu "
         "test examples; scoring p50 %.4f ms (%.4f at the reference speed), "
@@ -1645,6 +1689,8 @@ int RunTrain(uint64_t seed, double seconds, bool trace, Report* rep) {
                                                 TrainModelParams());
   zoomer::core::ZoomerTrainer trainer(ref_model.get(), opts);
   trainer.Train(*ds);
+  rep->Ref("train.evaluate_auc.epochs" + std::to_string(opts.epochs),
+           trainer.Evaluate(*ds, kCrossCheckExamples).auc);
   const double train_auc =
       ScoreExamples(ref_model.get(), scored, opts.seed + 17, &unused);
 
@@ -1699,6 +1745,7 @@ int RunTrain(uint64_t seed, double seconds, bool trace, Report* rep) {
   Log("train.example self time %.2f us (loss + glue outside the child spans)",
       stat("train.example").MeanSelfUs());
   rep->Check(sampler_d.count > 0, "train_roi: ROI sampler calls observed");
+  check_serving_idle();
   return 0;
 }
 
