@@ -1,9 +1,9 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -41,16 +41,17 @@ StatusOr<HeteroGraph> BuildGraphFromLogs(const std::vector<NodeSpec>& nodes,
     builder.AddNode(n.type, n.content, n.slots);
   }
 
-  // Interaction + session edges, coalesced by accumulating weight.
-  std::map<EdgeKey, float> acc;
+  // Interaction, session and similarity edges in arrival order; one sort at
+  // the end groups each key's duplicates.
+  struct PendingEdge {
+    EdgeKey key;
+    float w;
+  };
+  std::vector<PendingEdge> pending;
   auto add = [&](NodeId a, NodeId b, RelationKind kind, float w) {
     if (a == b) return;
     if (a > b) std::swap(a, b);
-    if (options.coalesce_duplicate_edges) {
-      acc[{a, b, kind}] += w;
-    } else {
-      acc.emplace(EdgeKey{a, b, kind}, w);
-    }
+    pending.push_back({{a, b, kind}, w});
   };
 
   const auto n_total = static_cast<NodeId>(nodes.size());
@@ -106,9 +107,22 @@ StatusOr<HeteroGraph> BuildGraphFromLogs(const std::vector<NodeSpec>& nodes,
     }
   }
 
-  for (const auto& [key, w] : acc) {
+  // Key order, equal keys in arrival order: a coalesced weight sums in the
+  // order its edges arrived, and without coalescing the first one wins.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const PendingEdge& x, const PendingEdge& y) {
+                     return x.key < y.key;
+                   });
+  for (size_t i = 0; i < pending.size();) {
+    const EdgeKey& key = pending[i].key;
+    float w = options.coalesce_duplicate_edges ? 0.0f : pending[i].w;
+    size_t j = i;
+    for (; j < pending.size() && !(key < pending[j].key); ++j) {
+      if (options.coalesce_duplicate_edges) w += pending[j].w;
+    }
     Status st = builder.AddEdge(key.a, key.b, key.kind, w);
     if (!st.ok()) return st;
+    i = j;
   }
   return builder.Build();
 }

@@ -349,6 +349,20 @@ TEST(GraphBuilderTest, DuplicateInteractionsCoalesceIntoWeight) {
     }
   }
   EXPECT_TRUE(found);
+
+  // Without coalescing the duplicates collapse to one edge of the first
+  // weight.
+  opt.coalesce_duplicate_edges = false;
+  auto single = BuildGraphFromLogs(nodes, log, opt);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single.value().num_edges(), g.num_edges());
+  const auto single_ids = single.value().neighbor_ids(0);
+  const auto single_w = single.value().neighbor_weights(0);
+  for (size_t i = 0; i < single_ids.size(); ++i) {
+    if (single_ids[i] == 2) {
+      EXPECT_FLOAT_EQ(single_w[i], 1.0f);
+    }
+  }
 }
 
 TEST(GraphBuilderTest, SimilarityEdgesConnectOverlappingTokenSets) {

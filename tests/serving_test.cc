@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "common/random.h"
 #include "data/taobao_generator.h"
@@ -36,6 +38,26 @@ TEST(AnnIndexTest, BuildValidation) {
   EXPECT_FALSE(index.Build({}, 0, 4, {}).ok());
   EXPECT_FALSE(index.Build({1.0f, 2.0f}, 1, 4, {0}).ok());  // size mismatch
   EXPECT_FALSE(index.Build({1.0f, 2.0f, 3.0f, 4.0f}, 1, 4, {0, 1}).ok());
+
+  auto vecs = RandomVectors(20, 4, 5);
+  std::vector<int64_t> ids(20);
+  for (int i = 0; i < 20; ++i) ids[i] = i;
+  for (const auto& [nlist, nprobe, iters] :
+       {std::tuple{0, 4, 8}, std::tuple{-1, 4, 8}, std::tuple{16, 0, 8},
+        std::tuple{16, -2, 8}, std::tuple{16, 4, -1}}) {
+    AnnIndexOptions opt;
+    opt.nlist = nlist;
+    opt.nprobe = nprobe;
+    opt.kmeans_iters = iters;
+    AnnIndex bad(opt);
+    const Status st = bad.Build(vecs, 20, 4, ids);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << nlist << " " << nprobe << " " << iters << ": " << st.ToString();
+  }
+  AnnIndexOptions opt;
+  opt.kmeans_iters = 0;  // no k-means refinement is allowed
+  AnnIndex unrefined(opt);
+  EXPECT_TRUE(unrefined.Build(vecs, 20, 4, ids).ok());
 }
 
 TEST(AnnIndexTest, ExactSearchReturnsTrueNearest) {
@@ -125,6 +147,163 @@ TEST(AnnIndexTest, SearchFasterThanExactOnLargeIndex) {
   const double exact_time =
       best_of([&] { index.SearchExact(query.data(), 10); });
   EXPECT_LT(approx_time, exact_time);
+}
+
+TEST(AnnIndexTest, NonPositiveKReturnsNothing) {
+  const int dim = 8;
+  auto vecs = RandomVectors(50, dim, 9);
+  std::vector<int64_t> ids(50);
+  for (int i = 0; i < 50; ++i) ids[i] = i;
+  AnnIndex index({});
+  ASSERT_TRUE(index.Build(vecs, 50, dim, ids).ok());
+  for (int k : {0, -1, -100}) {
+    EXPECT_TRUE(index.Search(vecs.data(), k).empty()) << k;
+    EXPECT_TRUE(index.SearchExact(vecs.data(), k).empty()) << k;
+  }
+}
+
+TEST(AnnIndexTest, TiedScoresRankByIdAscending) {
+  const int dim = 8;
+  // 40 copies of one vector under shuffled ids, among random rows: more
+  // ties than the selection buffer holds for k = 3, so the buffer is cut
+  // at the tied threshold several times.
+  const int64_t copies = 40, others = 60;
+  auto vecs = RandomVectors(copies + others, dim, 21);
+  std::vector<int64_t> ids(copies + others);
+  for (int64_t i = 0; i < copies + others; ++i) ids[i] = 1000 + i;
+  Rng rng(4);
+  std::vector<int64_t> dup_ids;
+  for (int64_t i = 0; i < copies; ++i) dup_ids.push_back(500 + 7 * i);
+  rng.Shuffle(&dup_ids);
+  for (int64_t i = 0; i < copies; ++i) {
+    std::copy(vecs.begin(), vecs.begin() + dim, vecs.begin() + i * dim);
+    ids[i] = dup_ids[i];
+  }
+  AnnIndexOptions opt;
+  opt.nlist = 4;
+  opt.nprobe = 4;
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(vecs, copies + others, dim, ids).ok());
+  for (int k : {1, 3, 40}) {
+    for (const auto& results : {index.Search(vecs.data(), k),
+                                index.SearchExact(vecs.data(), k)}) {
+      ASSERT_EQ(results.size(), static_cast<size_t>(k));
+      for (int i = 0; i < k; ++i) {
+        EXPECT_EQ(results[i].id, 500 + 7 * i) << "k=" << k << " rank " << i;
+        EXPECT_EQ(results[i].score, results[0].score);
+      }
+    }
+  }
+}
+
+class AnnParityTest : public ::testing::TestWithParam<int> {};
+
+// With every list probed, the IVF scan sees exactly the rows of the exact
+// scan through the same kernel: same ids, same order, same scores.
+TEST_P(AnnParityTest, FullProbeSearchEqualsExact) {
+  const int dim = GetParam();
+  const int64_t n = 203;  // lists end in partial blocks
+  auto vecs = RandomVectors(n, dim, 31 + dim);
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = 3 * i + 1;
+  AnnIndexOptions opt;
+  opt.nlist = 7;
+  opt.nprobe = 7;
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+  Rng rng(dim);
+  for (int q = 0; q < 20; ++q) {
+    std::vector<float> query(dim);
+    for (auto& x : query) x = static_cast<float>(rng.Normal());
+    for (int k : {1, 25, static_cast<int>(n) + 5}) {
+      const auto approx = index.Search(query.data(), k);
+      const auto exact = index.SearchExact(query.data(), k);
+      ASSERT_EQ(approx.size(), std::min<size_t>(k, n));
+      ASSERT_EQ(approx.size(), exact.size());
+      for (size_t i = 0; i < exact.size(); ++i) {
+        EXPECT_EQ(approx[i].id, exact[i].id) << "dim " << dim << " rank " << i;
+        EXPECT_EQ(approx[i].score, exact[i].score);
+        if (i > 0) {
+          EXPECT_LE(exact[i].score, exact[i - 1].score);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, AnnParityTest,
+                         ::testing::Values(4, 8, 16, 32, 33));
+
+TEST(AnnIndexTest, InsertedRowsAreFoundByBothPaths) {
+  const int dim = 12;
+  const int64_t n = 100;
+  auto vecs = RandomVectors(n, dim, 17);
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = i;
+  AnnIndexOptions opt;
+  opt.nlist = 5;
+  opt.nprobe = 1;
+  AnnIndex index(opt);
+  EXPECT_FALSE(index.Insert(vecs.data(), 7).ok());  // not built yet
+  ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+  // Enough inserts to open new blocks in several lists.
+  auto fresh = RandomVectors(30, dim, 18);
+  for (int64_t i = 0; i < 30; ++i) {
+    const float* v = fresh.data() + i * dim;
+    ASSERT_TRUE(index.Insert(v, 5000 + i).ok());
+    for (const auto& results : {index.Search(v, 1), index.SearchExact(v, 1)}) {
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].id, 5000 + i);
+      EXPECT_NEAR(results[0].score, 1.0f, 1e-5f);
+    }
+  }
+  EXPECT_EQ(index.size(), n + 30);
+  EXPECT_EQ(index.SearchExact(fresh.data(), 1000).size(),
+            static_cast<size_t>(n + 30));
+}
+
+// One inserter appends rows (opening and reallocating blocks) while four
+// searchers scan under the shared lock; the TSan job runs this. Searchers
+// run a fixed count rather than until the inserter finishes: a reader-
+// preferring shared_mutex would otherwise starve the inserter.
+TEST(AnnIndexTest, InsertConcurrentWithSearch) {
+  const int dim = 16;
+  const int64_t n = 400, inserts = 1500;
+  auto vecs = RandomVectors(n, dim, 23);
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = i;
+  AnnIndexOptions opt;
+  opt.nlist = 8;
+  opt.nprobe = 3;
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+  auto fresh = RandomVectors(inserts, dim, 24);
+  std::atomic<int64_t> bad{0};
+  std::vector<std::thread> searchers;
+  for (int t = 0; t < 4; ++t) {
+    searchers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      std::vector<float> query(dim);
+      for (int i = 0; i < 300; ++i) {
+        for (auto& x : query) x = static_cast<float>(rng.Normal());
+        const auto results = (t % 2 == 0) ? index.Search(query.data(), 10)
+                                          : index.SearchExact(query.data(), 10);
+        if (results.size() != 10u) bad.fetch_add(1);
+        for (size_t i = 1; i < results.size(); ++i) {
+          if (results[i].score > results[i - 1].score) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int64_t i = 0; i < inserts; ++i) {
+    ASSERT_TRUE(index.Insert(fresh.data() + i * dim, n + i).ok());
+  }
+  for (auto& th : searchers) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(index.size(), n + inserts);
+  const auto last = index.Search(fresh.data() + (inserts - 1) * dim, 1);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].id, n + inserts - 1);
 }
 
 // --- NeighborCache ---------------------------------------------------------------
