@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -86,56 +85,134 @@ bool Better(const AnnResult& a, const AnnResult& b) {
   return a.score > b.score || (a.score == b.score && a.id < b.id);
 }
 
-/// Exact top-k under Better over the candidates pushed, by threshold
-/// selection into a reused thread-local buffer (see the header).
-class TopK {
- public:
-  explicit TopK(int k) : k_(static_cast<size_t>(k)), buf_(Buffer()) {
-    buf_.clear();
-  }
+/// Score buckets for the selection threshold: 0 holds NaN, 1..kBuckets the
+/// finite scores clamped to [-1, 1].
+constexpr int kBuckets = 1024;
 
-  void Push(int64_t id, float score) {
-    // NaN fails this test too, so Better only ever compares ordered scores.
-    if (!(score >= threshold_)) return;
-    buf_.push_back({id, score});
-    if (buf_.size() == 4 * k_) Cut();
-  }
+/// A monotone map of scores to buckets: a <= b implies Bucket(a) <=
+/// Bucket(b) for non-NaN scores (clamping, one rounded multiply-add and
+/// truncation are each monotone). The ternaries compile to selects.
+inline int Bucket(float s) {
+  const float c = s > -1.0f ? (s < 1.0f ? s : 1.0f) : -1.0f;  // NaN -> -1
+  const int b = 1 + static_cast<int>((c + 1.0f) * (0.5f * kBuckets - 0.5f));
+  return s == s ? b : 0;
+}
 
-  std::vector<AnnResult> Take() {
-    if (buf_.size() > k_) Cut();
-    std::sort(buf_.begin(), buf_.end(), Better);
-    return buf_;
-  }
+/// Survivors the final step ranks by counting (O(m^2)); larger survivor
+/// sets, which only heavy ties at the threshold or a large k produce, are
+/// ranked by a partial sort instead (O(m log k)).
+constexpr int64_t kMaxCountedSurvivors = 256;
 
- private:
-  static std::vector<AnnResult>& Buffer() {
-    static thread_local std::vector<AnnResult> buf;
-    return buf;
-  }
-
-  /// Keeps the best k and raises the threshold to the k-th score.
-  void Cut() {
-    std::nth_element(buf_.begin(), buf_.begin() + (k_ - 1), buf_.end(),
-                     Better);
-    buf_.resize(k_);
-    threshold_ = buf_.back().score;
-  }
-
-  size_t k_;
-  std::vector<AnnResult>& buf_;
-  float threshold_ = -std::numeric_limits<float>::infinity();
+/// One probed list: its blocks, the ids of its real rows and their count.
+struct Probe {
+  const float* blocks;
+  const int64_t* ids;
+  int64_t rows;
 };
 
-/// Scores the rows of one list (its blocks and ids) against `q` and offers
-/// each to `top`.
-void ScanList(const float* q, const std::vector<float>& blocks,
-              const std::vector<int64_t>& ids, int dim, TopK* top) {
-  static thread_local std::vector<float> scores;
-  const int64_t num_blocks = NumBlocks(static_cast<int64_t>(ids.size()));
-  const size_t need = static_cast<size_t>(num_blocks) * kBlockRows;
-  if (scores.size() < need) scores.resize(need);
-  ScoreBlocks(q, blocks.data(), num_blocks, dim, scores.data());
-  for (size_t r = 0; r < ids.size(); ++r) top->Push(ids[r], scores[r]);
+/// Per-thread working memory of Search, SearchExact and SelectTopK, reused
+/// across calls so a search allocates only its result.
+struct Scratch {
+  std::vector<float> q;                    // the normalized query
+  std::vector<float> centroid_scores;
+  std::vector<std::pair<float, int>> list_rank;
+  std::vector<Probe> probes;
+  std::vector<float> scores;               // every probed row, back to back
+  std::vector<uint16_t> buckets;           // Bucket() of each score
+  std::vector<int32_t> hist;               // kBuckets + 1 counts
+  std::vector<int64_t> survivors;          // positions in `scores`
+  std::vector<float> cand_scores;          // the survivors' scores
+  std::vector<int64_t> cand_ids;           // and ids
+};
+
+Scratch& ThreadScratch() {
+  static thread_local Scratch scratch;
+  return scratch;
+}
+
+/// The exact top k under Better of the rows of `probes` scored against
+/// normalized `q`; see "Selection" in the header. NaN scores are never
+/// selected.
+std::vector<AnnResult> SelectTopK(const float* q, int dim, int k,
+                                  Scratch* s) {
+  // 1. Score every probed list into one buffer, lists back to back: a
+  // list's padding lanes land where the next list starts (or in the slack
+  // past the end) and are overwritten.
+  int64_t n = 0;
+  for (const Probe& p : s->probes) n += p.rows;
+  if (s->scores.size() < static_cast<size_t>(n + kBlockRows)) {
+    s->scores.resize(n + kBlockRows);
+  }
+  float* scores = s->scores.data();
+  int64_t begin = 0;
+  for (const Probe& p : s->probes) {
+    ScoreBlocks(q, p.blocks, NumBlocks(p.rows), dim, scores + begin);
+    begin += p.rows;
+  }
+  // 2. Bucket every score (a vectorized pass), then histogram the buckets.
+  if (s->buckets.size() < static_cast<size_t>(n)) s->buckets.resize(n);
+  uint16_t* buckets = s->buckets.data();
+  for (int64_t i = 0; i < n; ++i) buckets[i] = Bucket(scores[i]);
+  s->hist.assign(kBuckets + 1, 0);
+  int32_t* hist = s->hist.data();
+  for (int64_t i = 0; i < n; ++i) ++hist[buckets[i]];
+  // 3. The highest bucket t with at least k rows in buckets >= t (bucket 1
+  // if there are fewer than k finite scores); every row below t scores
+  // less than every row at or above it, so the top k lie at or above t.
+  int t = kBuckets + 1;
+  for (int64_t above = 0; t > 1 && above < k;) above += hist[--t];
+  // Collect the rows at or above t without a branch: each position is
+  // written to the next free slot, which advances only past a survivor.
+  if (s->survivors.size() < static_cast<size_t>(n)) s->survivors.resize(n);
+  int64_t* survivors = s->survivors.data();
+  int64_t m = 0;
+  for (int64_t j = 0; j < n; ++j) {
+    survivors[m] = j;
+    m += buckets[j] >= t;
+  }
+  // Positions to ids: the survivors ascend, so one walk over the probes.
+  s->cand_scores.resize(m);
+  s->cand_ids.resize(m);
+  float* cs = s->cand_scores.data();
+  int64_t* ci = s->cand_ids.data();
+  const Probe* probe = s->probes.data();
+  int64_t probe_begin = 0;
+  for (int64_t j = 0; j < m; ++j) {
+    const int64_t i = survivors[j];
+    while (i >= probe_begin + probe->rows) probe_begin += (probe++)->rows;
+    cs[j] = scores[i];
+    ci[j] = probe->ids[i - probe_begin];
+  }
+  // 4. Rank the survivors. A survivor's rank counts the survivors ordered
+  // before it, ties in (score, id) broken by position, so the ranks are
+  // distinct and each survivor lands in its own slot.
+  const int64_t out = std::min<int64_t>(k, m);
+  std::vector<AnnResult> ranked(m);
+  if (m > kMaxCountedSurvivors) {
+    for (int64_t j = 0; j < m; ++j) ranked[j] = {ci[j], cs[j]};
+    std::partial_sort(ranked.begin(), ranked.begin() + out, ranked.end(),
+                      Better);
+    ranked.resize(out);
+    return ranked;
+  }
+  for (int64_t i = 0; i < m; ++i) {
+    const float si = cs[i];
+    const int64_t idi = ci[i];
+    int32_t above = 0, tied = 0;
+    for (int64_t j = 0; j < m; ++j) {
+      above += cs[j] > si;
+      tied += cs[j] == si;
+    }
+    int64_t rank = above;
+    if (tied > 1) {
+      for (int64_t j = 0; j < m; ++j) {
+        rank += (cs[j] == si) & ((ci[j] < idi) | ((ci[j] == idi) & (j < i)));
+      }
+    }
+    ranked[rank] = {idi, si};
+  }
+  ranked.resize(out);
+  return ranked;
 }
 
 }  // namespace
@@ -265,28 +342,29 @@ Status AnnIndex::Insert(const float* vector, int64_t id) {
 std::vector<AnnResult> AnnIndex::Search(const float* query, int k) const {
   if (k <= 0) return {};
   WallTimer timer;
-  std::vector<float> q(query, query + dim_);
-  Normalize(q.data());
+  Scratch& s = ThreadScratch();
+  s.q.assign(query, query + dim_);
+  Normalize(s.q.data());
   std::shared_lock<std::shared_mutex> lock(mu_);
   ZCHECK_GT(n_, 0) << "index not built";
   // Rank lists by centroid similarity, ties to the lower list index as in
   // Insert's nearest-centroid pick, so a row's own list is probed first.
-  static thread_local std::vector<float> scores;
-  ScoreCentroids(q.data(), &scores);
-  std::vector<std::pair<float, int>> list_rank(nlist_);
-  for (int c = 0; c < nlist_; ++c) list_rank[c] = {scores[c], c};
+  ScoreCentroids(s.q.data(), &s.centroid_scores);
+  s.list_rank.resize(nlist_);
+  for (int c = 0; c < nlist_; ++c) s.list_rank[c] = {s.centroid_scores[c], c};
   const int nprobe = std::min(options_.nprobe, nlist_);
-  std::partial_sort(list_rank.begin(), list_rank.begin() + nprobe,
-                    list_rank.end(), [](const auto& a, const auto& b) {
+  std::partial_sort(s.list_rank.begin(), s.list_rank.begin() + nprobe,
+                    s.list_rank.end(), [](const auto& a, const auto& b) {
                       return a.first > b.first ||
                              (a.first == b.first && a.second < b.second);
                     });
-  TopK top(k);
+  s.probes.clear();
   for (int p = 0; p < nprobe; ++p) {
-    const List& list = lists_[list_rank[p].second];
-    ScanList(q.data(), list.blocks, list.ids, dim_, &top);
+    const List& list = lists_[s.list_rank[p].second];
+    s.probes.push_back({list.blocks.data(), list.ids.data(),
+                        static_cast<int64_t>(list.ids.size())});
   }
-  std::vector<AnnResult> results = top.Take();
+  std::vector<AnnResult> results = SelectTopK(s.q.data(), dim_, k, &s);
   search_latency_us_->Record(static_cast<int64_t>(timer.ElapsedMicros()));
   return results;
 }
@@ -294,15 +372,17 @@ std::vector<AnnResult> AnnIndex::Search(const float* query, int k) const {
 std::vector<AnnResult> AnnIndex::SearchExact(const float* query,
                                              int k) const {
   if (k <= 0) return {};
-  std::vector<float> q(query, query + dim_);
-  Normalize(q.data());
+  Scratch& s = ThreadScratch();
+  s.q.assign(query, query + dim_);
+  Normalize(s.q.data());
   std::shared_lock<std::shared_mutex> lock(mu_);
   ZCHECK_GT(n_, 0) << "index not built";
-  TopK top(k);
+  s.probes.clear();
   for (const List& list : lists_) {
-    ScanList(q.data(), list.blocks, list.ids, dim_, &top);
+    s.probes.push_back({list.blocks.data(), list.ids.data(),
+                        static_cast<int64_t>(list.ids.size())});
   }
-  return top.Take();
+  return SelectTopK(s.q.data(), dim_, k, &s);
 }
 
 }  // namespace serving

@@ -172,17 +172,22 @@ void NeighborCache::Warm(NodeId node) {
 }
 
 void NeighborCache::WarmAll(const std::vector<NodeId>& nodes) {
+  // Warm lists repeat nodes (one entry per session, say): fill each once.
+  std::vector<NodeId> distinct = nodes;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
   const streaming::DynamicHeteroGraph* dynamic =
       dynamic_.load(std::memory_order_acquire);
   if (dynamic == nullptr) {
-    for (NodeId n : nodes) Warm(n);
+    for (NodeId n : distinct) Warm(n);
     return;
   }
   // One epoch pin for the whole warm list: per-node MakeSnapshot() is an
   // atomic fence plus watermark walk, which dominates bulk pre-warming of
   // large candidate sets.
   const auto snap = dynamic->MakeSnapshot();
-  for (NodeId n : nodes) {
+  for (NodeId n : distinct) {
     auto topk = TopKFromSnapshot(snap, n, static_cast<size_t>(options_.k));
     {
       std::unique_lock<std::shared_mutex> lock(mu_);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -196,6 +197,150 @@ TEST(AnnIndexTest, TiedScoresRankByIdAscending) {
   }
 }
 
+/// Checks the selection contract on one index: every k agrees with a prefix
+/// of the full ranking, full-probe Search equals SearchExact, and the full
+/// ranking holds every id once, by (score desc, id asc).
+void ExpectExactRanking(const AnnIndex& index, const float* query,
+                        const std::vector<int64_t>& ids) {
+  const int n = static_cast<int>(ids.size());
+  const auto all = index.SearchExact(query, n);
+  ASSERT_EQ(all.size(), ids.size());
+  std::vector<int64_t> seen;
+  for (size_t i = 0; i < all.size(); ++i) {
+    seen.push_back(all[i].id);
+    if (i > 0) {
+      const bool ordered =
+          all[i - 1].score > all[i].score ||
+          (all[i - 1].score == all[i].score && all[i - 1].id < all[i].id);
+      EXPECT_TRUE(ordered) << "rank " << i;
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  std::vector<int64_t> want = ids;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(seen, want);
+  for (int k : {1, 7, 99, 100, 101, n, n + 5}) {
+    const auto exact = index.SearchExact(query, k);
+    const auto approx = index.Search(query, k);
+    ASSERT_EQ(exact.size(), static_cast<size_t>(std::min(k, n))) << k;
+    ASSERT_EQ(approx.size(), exact.size()) << k;
+    for (size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(exact[i].id, all[i].id) << "k=" << k << " rank " << i;
+      EXPECT_EQ(exact[i].score, all[i].score);
+      EXPECT_EQ(approx[i].id, exact[i].id) << "k=" << k << " rank " << i;
+      EXPECT_EQ(approx[i].score, exact[i].score);
+    }
+  }
+}
+
+// Coordinates in {-1, 0, 1} give a few dozen distinct directions over
+// hundreds of rows, so many scores tie at the selection threshold, and the
+// survivors reach past the count-ranked size for large k.
+TEST(AnnIndexTest, HeavyTiesRankExactly) {
+  const int dim = 4;
+  const int64_t n = 600;
+  Rng rng(61);
+  std::vector<float> vecs(n * dim);
+  for (auto& x : vecs) x = static_cast<float>(rng.Uniform(3)) - 1.0f;
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = 10 * i + 3;
+  rng.Shuffle(&ids);
+  AnnIndexOptions opt;
+  opt.nlist = 6;
+  opt.nprobe = 6;
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+  for (int q = 0; q < 30; ++q) {
+    std::vector<float> query(dim);
+    for (auto& x : query) {
+      x = q % 2 == 0 ? static_cast<float>(rng.Uniform(3)) - 1.0f
+                     : static_cast<float>(rng.Normal());
+    }
+    ExpectExactRanking(index, query.data(), ids);
+  }
+}
+
+TEST(AnnIndexTest, AllIdenticalRowsRankById) {
+  const int dim = 8;
+  const int64_t n = 500;
+  auto one = RandomVectors(1, dim, 62);
+  std::vector<float> vecs(n * dim);
+  for (int64_t i = 0; i < n; ++i) {
+    std::copy(one.begin(), one.end(), vecs.begin() + i * dim);
+  }
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = 7 * i;
+  Rng rng(63);
+  rng.Shuffle(&ids);
+  AnnIndexOptions opt;
+  opt.nlist = 4;
+  opt.nprobe = 4;
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+  for (int q = 0; q < 5; ++q) {
+    auto query = RandomVectors(1, dim, 64 + q);
+    ExpectExactRanking(index, query.data(), ids);
+    const auto top = index.SearchExact(query.data(), 100);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(top[i].id, 7 * i);
+  }
+}
+
+// NaN scores never rank: a NaN query returns nothing, and a row whose
+// normalized vector holds a NaN is never returned while the finite rows
+// rank exactly as in an index without it.
+TEST(AnnIndexTest, NanScoresAreNeverReturned) {
+  const int dim = 8;
+  const int64_t n = 120;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto vecs = RandomVectors(n, dim, 65);
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = i;
+  AnnIndexOptions opt;
+  opt.nlist = 3;
+  opt.nprobe = 3;
+  AnnIndex finite(opt);
+  ASSERT_TRUE(finite.Build(vecs, n, dim, ids).ok());
+  // Every 10th row gets a NaN coordinate, under an id of its own.
+  std::vector<float> mixed = vecs;
+  std::vector<int64_t> mixed_ids = ids;
+  for (int64_t i = 0; i < n; i += 10) {
+    std::vector<float> bad(vecs.begin() + i * dim,
+                           vecs.begin() + (i + 1) * dim);
+    bad[i % dim] = nan;
+    mixed.insert(mixed.end(), bad.begin(), bad.end());
+    mixed_ids.push_back(1000 + i);
+  }
+  AnnIndex index(opt);
+  ASSERT_TRUE(index.Build(mixed, static_cast<int64_t>(mixed_ids.size()), dim,
+                          mixed_ids)
+                  .ok());
+  std::vector<float> bad_row(vecs.begin(), vecs.begin() + dim);
+  bad_row[0] = nan;
+  ASSERT_TRUE(index.Insert(bad_row.data(), 5000).ok());
+
+  std::vector<float> nan_query(vecs.begin(), vecs.begin() + dim);
+  nan_query[3] = nan;
+  for (int k : {1, 10, 500}) {
+    EXPECT_TRUE(index.Search(nan_query.data(), k).empty()) << k;
+    EXPECT_TRUE(index.SearchExact(nan_query.data(), k).empty()) << k;
+  }
+  for (int q = 0; q < 10; ++q) {
+    auto query = RandomVectors(1, dim, 66 + q);
+    for (int k : {1, 10, 500}) {
+      const auto want = finite.SearchExact(query.data(), k);
+      ASSERT_EQ(want.size(), std::min<size_t>(k, n));
+      for (const auto& got : {index.Search(query.data(), k),
+                              index.SearchExact(query.data(), k)}) {
+        ASSERT_EQ(got.size(), want.size()) << k;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "k=" << k << " rank " << i;
+          EXPECT_EQ(got[i].score, want[i].score);
+        }
+      }
+    }
+  }
+}
+
 class AnnParityTest : public ::testing::TestWithParam<int> {};
 
 // With every list probed, the IVF scan sees exactly the rows of the exact
@@ -380,11 +525,14 @@ TEST(NeighborCacheTest, WarmReturnsHighestWeightNeighbors) {
 TEST(NeighborCacheTest, WarmAllFillsEverything) {
   const auto& ds = Dataset();
   NeighborCache cache(&ds.graph, {});
-  std::vector<graph::NodeId> nodes = {0, 1, 2, 3, 4};
+  // Repeats fill once per distinct node.
+  std::vector<graph::NodeId> nodes = {3, 0, 1, 3, 2, 4, 0, 1, 3, 4};
   cache.WarmAll(nodes);
   EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.Stats().completed_fills, 5);
   std::vector<graph::NodeId> out;
   for (auto n : nodes) EXPECT_TRUE(cache.Get(n, &out));
+  EXPECT_EQ(cache.Stats().misses, 0);
 }
 
 // --- OnlineServer ------------------------------------------------------------------
