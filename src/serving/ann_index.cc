@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -115,7 +116,7 @@ struct Probe {
 struct Scratch {
   std::vector<float> q;                    // the normalized query
   std::vector<float> centroid_scores;
-  std::vector<std::pair<float, int>> list_rank;
+  std::vector<std::pair<float, int>> best_lists;  // (score, list), ranked
   std::vector<Probe> probes;
   std::vector<float> scores;               // every probed row, back to back
   std::vector<uint16_t> buckets;           // Bucket() of each score
@@ -347,20 +348,36 @@ std::vector<AnnResult> AnnIndex::Search(const float* query, int k) const {
   Normalize(s.q.data());
   std::shared_lock<std::shared_mutex> lock(mu_);
   ZCHECK_GT(n_, 0) << "index not built";
-  // Rank lists by centroid similarity, ties to the lower list index as in
-  // Insert's nearest-centroid pick, so a row's own list is probed first.
+  // The nprobe lists of highest centroid score, best first, by insertion
+  // into nprobe ranked slots. Lists arrive in index order and a list only
+  // passes a strictly lower score, so ties go to the lower list index, as
+  // in Insert's nearest-centroid pick: a row's own list is probed first. A
+  // NaN score ranks below every other.
   ScoreCentroids(s.q.data(), &s.centroid_scores);
-  s.list_rank.resize(nlist_);
-  for (int c = 0; c < nlist_; ++c) s.list_rank[c] = {s.centroid_scores[c], c};
   const int nprobe = std::min(options_.nprobe, nlist_);
-  std::partial_sort(s.list_rank.begin(), s.list_rank.begin() + nprobe,
-                    s.list_rank.end(), [](const auto& a, const auto& b) {
-                      return a.first > b.first ||
-                             (a.first == b.first && a.second < b.second);
-                    });
+  s.best_lists.resize(nprobe);
+  auto* best = s.best_lists.data();
+  constexpr float kNanRank = -std::numeric_limits<float>::infinity();
+  int filled = 0;
+  for (int c = 0; c < nlist_; ++c) {
+    const float cs = s.centroid_scores[c];
+    const float score = cs == cs ? cs : kNanRank;
+    int slot = filled;
+    if (filled < nprobe) {
+      ++filled;
+    } else if (score > best[nprobe - 1].first) {
+      slot = nprobe - 1;
+    } else {
+      continue;
+    }
+    for (; slot > 0 && score > best[slot - 1].first; --slot) {
+      best[slot] = best[slot - 1];
+    }
+    best[slot] = {score, c};
+  }
   s.probes.clear();
   for (int p = 0; p < nprobe; ++p) {
-    const List& list = lists_[s.list_rank[p].second];
+    const List& list = lists_[best[p].second];
     s.probes.push_back({list.blocks.data(), list.ids.data(),
                         static_cast<int64_t>(list.ids.size())});
   }

@@ -44,7 +44,8 @@
 // returns nothing. A row whose normalized vector holds a NaN is never
 // returned; SearchExact, and Search with every list probed, rank the other
 // rows as if it were absent (the k-means quantizer itself does not screen
-// such rows out, so with fewer lists probed it may steer the probe).
+// such rows out, so with fewer lists probed it may steer the probe; a
+// centroid scoring NaN is probed only after every other list).
 #ifndef ZOOMER_SERVING_ANN_INDEX_H_
 #define ZOOMER_SERVING_ANN_INDEX_H_
 

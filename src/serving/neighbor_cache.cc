@@ -102,22 +102,33 @@ std::vector<NodeId> NeighborCache::ComputeTopK(NodeId node) const {
 }
 
 bool NeighborCache::Get(NodeId node, std::vector<NodeId>* out) {
-  bool fill_pending;
+  out->clear();
+  return GetMany({&node, 1}, out) == 1;
+}
+
+int NeighborCache::GetMany(std::span<const NodeId> nodes,
+                           std::vector<NodeId>* out) {
+  int found = 0;
+  std::vector<NodeId> to_fill;  // allocates only on a miss with no fill
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = cache_.find(node);
-    if (it != cache_.end()) {
-      *out = it->second;
-      hits_.Add(1);
-      return true;
+    for (NodeId node : nodes) {
+      auto it = cache_.find(node);
+      if (it != cache_.end()) {
+        out->insert(out->end(), it->second.begin(), it->second.end());
+        ++found;
+        continue;
+      }
+      // Checked under the shared lock so a miss burst on a cold node does
+      // not serialize every reader behind ScheduleFill's writer lock.
+      if (!pending_fills_.count(node)) to_fill.push_back(node);
     }
-    // Checked under the shared lock so a miss burst on a cold node does not
-    // serialize every reader behind ScheduleFill's writer lock.
-    fill_pending = pending_fills_.count(node) > 0;
   }
-  misses_.Add(1);
-  if (!fill_pending) ScheduleFill(node);
-  return false;
+  if (found > 0) hits_.Add(found);
+  const int missed = static_cast<int>(nodes.size()) - found;
+  if (missed > 0) misses_.Add(missed);
+  for (NodeId node : to_fill) ScheduleFill(node);
+  return found;
 }
 
 void NeighborCache::ScheduleFill(NodeId node) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -65,9 +66,20 @@ class NeighborCache {
   /// static reads). The view must outlive the cache.
   void AttachDynamicGraph(const streaming::DynamicHeteroGraph* dynamic);
 
-  /// Returns true and fills `out` on hit; on miss schedules a background
-  /// fill (unless one is already pending for this node) and returns false.
+  /// Returns true and fills `out` on hit; on miss clears `out`, schedules
+  /// a background fill (unless one is already pending for this node) and
+  /// returns false. The one-node form of GetMany.
   bool Get(graph::NodeId node, std::vector<graph::NodeId>* out);
+
+  /// Appends the cached neighbors of every hit in `nodes` to `out`, in
+  /// `nodes` order, under one shared-lock hold, and returns the number of
+  /// hits. Each miss counts and schedules a fill as Get's does.
+  int GetMany(std::span<const graph::NodeId> nodes,
+              std::vector<graph::NodeId>* out);
+
+  /// The node's top-k as a fill would compute it, without storing it or
+  /// counting anything (the cache-bypass path of OnlineServer).
+  std::vector<graph::NodeId> ComputeTopK(graph::NodeId node) const;
 
   /// Synchronous fill (used for warmup before load tests).
   void Warm(graph::NodeId node);
@@ -90,7 +102,6 @@ class NeighborCache {
   NeighborCacheStats Stats() const;
 
  private:
-  std::vector<graph::NodeId> ComputeTopK(graph::NodeId node) const;
   /// Enqueues a background fill unless one is already pending. Caller must
   /// not hold mu_.
   void ScheduleFill(graph::NodeId node);

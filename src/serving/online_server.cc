@@ -1,5 +1,6 @@
 #include "serving/online_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -144,97 +145,158 @@ void OnlineServer::AttachMaintenance(
       });
 }
 
+namespace {
+
+/// Per-thread working memory of Handle and EmbedRequest, reused across
+/// requests so a request allocates only its response.
+struct RequestScratch {
+  std::vector<float> uq;              // the request embedding
+  std::vector<float> focal;
+  std::vector<NodeId> nbr_ids;        // both egos' neighbors, in order
+  std::vector<const float*> nbr_emb;  // their embedding rows
+  std::vector<float> prod;            // DotRows' products
+  std::vector<float> scores;
+};
+
+RequestScratch& ThreadScratch() {
+  static thread_local RequestScratch scratch;
+  return scratch;
+}
+
+/// scores[i] = the sum over j, in order, of rows[i][j] * focal[j] for n
+/// rows of d floats, each product rounded to float before it is added. The
+/// products go through `prod` (n * d floats), so no compiler fuses a
+/// multiply into the sum: an FMA would round differently, and whether one
+/// is used would depend on how the loop was vectorized. The sums run four
+/// rows per step on independent accumulators, since one chain of d adds is
+/// latency-bound.
+void DotRows(const float* const* rows, size_t n, const float* focal, int d,
+             float* prod, float* scores) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* e = rows[i];
+    float* p = prod + i * d;
+    for (int j = 0; j < d; ++j) p[j] = e[j] * focal[j];
+  }
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* p0 = prod + i * d;
+    const float* p1 = p0 + d;
+    const float* p2 = p1 + d;
+    const float* p3 = p2 + d;
+    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      a0 += p0[j];
+      a1 += p1[j];
+      a2 += p2[j];
+      a3 += p3[j];
+    }
+    scores[i] = a0;
+    scores[i + 1] = a1;
+    scores[i + 2] = a2;
+    scores[i + 3] = a3;
+  }
+  for (; i < n; ++i) {
+    const float* p = prod + i * d;
+    float a = 0.0f;
+    for (int j = 0; j < d; ++j) a += p[j];
+    scores[i] = a;
+  }
+}
+
+}  // namespace
+
 void OnlineServer::EmbedRequest(const ServingRequest& req,
-                                uint64_t min_epoch,
-                                std::vector<float>* out) {
+                                uint64_t min_epoch, float* out) {
   const int d = options_.embedding_dim;
-  out->assign(d, 0.0f);
+  RequestScratch& s = ThreadScratch();
   // Focal vector = user + query embeddings. Ego nodes born after the
   // export but never registered contribute zero instead of reading off the
   // end of the embedding table.
-  std::vector<float> focal(d, 0.0f);
-  for (NodeId ego : {req.user, req.query}) {
+  s.focal.assign(d, 0.0f);
+  float* focal = s.focal.data();
+  const NodeId egos[2] = {req.user, req.query};
+  for (NodeId ego : egos) {
     if (const float* e = NodeEmbedding(ego)) {
       for (int j = 0; j < d; ++j) focal[j] += e[j];
     }
   }
 
-  // Aggregate cached neighbors of both ego nodes with edge-level attention
-  // (scores = dot(neighbor, focal); softmax; weighted sum). Neighbors
-  // without a registered embedding (a streamed node whose IngestNode has
-  // not landed) are excluded from the softmax rather than scored as
-  // garbage.
-  std::vector<const float*> nbr_emb;
-  std::vector<NodeId> tmp;
-  // Read-your-writes path: a cached entry may predate the session's write,
-  // so fetch through the engine — its freshness-aware router only uses
-  // replicas whose watermark covers min_epoch. Both egos go out as ONE
-  // batched SampleMany (one routing decision and one snapshot pin per
-  // shard-group) instead of two sequential round-trips.
-  std::vector<StatusOr<engine::SampleResponse>> sresps;
+  // Both egos' neighbors, user's first. Read-your-writes path: a cached
+  // entry may predate the session's write, so fetch through the engine —
+  // its freshness-aware router only uses replicas whose watermark covers
+  // min_epoch. Both egos go out as ONE batched SampleMany (one routing
+  // decision and one snapshot pin per shard-group); an ego whose read
+  // fails degrades to its cached view. The cache path reads both entries
+  // under one lock hold; a miss contributes no neighbors.
+  s.nbr_ids.clear();
   if (min_epoch > 0 && engine_ != nullptr) {
     engine::SampleRequest sreqs[2];
-    const NodeId egos[2] = {req.user, req.query};
     for (int e = 0; e < 2; ++e) {
       sreqs[e].node = egos[e];
       sreqs[e].k = options_.cache.k;
       sreqs[e].rng_seed = options_.seed ^ static_cast<uint64_t>(egos[e]);
       sreqs[e].min_epoch = min_epoch;
     }
-    sresps = engine_->SampleMany(sreqs);
-  }
-  int ego_index = -1;
-  for (NodeId ego : {req.user, req.query}) {
-    ++ego_index;
-    bool hit = true;
-    if (!sresps.empty()) {
-      if (sresps[ego_index].ok()) {
-        tmp = std::move(sresps[ego_index].value().neighbors);
+    auto sresps = engine_->SampleMany(sreqs);
+    for (int e = 0; e < 2; ++e) {
+      if (sresps[e].ok()) {
+        const auto& nbrs = sresps[e].value().neighbors;
+        s.nbr_ids.insert(s.nbr_ids.end(), nbrs.begin(), nbrs.end());
       } else {
-        hit = cache_->Get(ego, &tmp);  // degrade to the cached view
+        cache_->GetMany({&egos[e], 1}, &s.nbr_ids);
       }
-    } else if (options_.use_neighbor_cache) {
-      hit = cache_->Get(ego, &tmp);
-    } else {
-      // Cache bypass: compute top-k on the request path.
-      cache_->Warm(ego);
-      hit = cache_->Get(ego, &tmp);
     }
-    if (!hit) continue;
-    for (NodeId nb : tmp) {
-      if (const float* e = NodeEmbedding(nb)) nbr_emb.push_back(e);
+  } else if (options_.use_neighbor_cache) {
+    cache_->GetMany(egos, &s.nbr_ids);
+  } else {
+    // Cache bypass: compute top-k on the request path, leaving the cache
+    // and its counters untouched.
+    for (NodeId ego : egos) {
+      const std::vector<NodeId> topk = cache_->ComputeTopK(ego);
+      s.nbr_ids.insert(s.nbr_ids.end(), topk.begin(), topk.end());
     }
   }
 
-  if (nbr_emb.empty()) {
-    for (int j = 0; j < d; ++j) (*out)[j] = focal[j];
+  // Aggregate the neighbors with edge-level attention (scores =
+  // dot(neighbor, focal); softmax; weighted sum). Neighbors without a
+  // registered embedding (a streamed node whose IngestNode has not landed)
+  // are excluded from the softmax rather than scored as garbage.
+  s.nbr_emb.clear();
+  for (NodeId nb : s.nbr_ids) {
+    if (const float* e = NodeEmbedding(nb)) {
+      __builtin_prefetch(e);  // the attention pass reads every row
+      __builtin_prefetch(e + d - 1);  // which may straddle two lines
+      s.nbr_emb.push_back(e);
+    }
+  }
+  const size_t n = s.nbr_emb.size();
+  if (n == 0) {
+    std::copy(focal, focal + d, out);
     return;
   }
-  std::vector<float> scores(nbr_emb.size());
+  s.scores.resize(n);
+  float* scores = s.scores.data();
+  if (options_.use_edge_attention) {
+    s.prod.resize(n * d);
+    DotRows(s.nbr_emb.data(), n, focal, d, s.prod.data(), scores);
+  } else {
+    std::fill(scores, scores + n, 0.0f);  // mean aggregation
+  }
   float max_score = -1e30f;
-  for (size_t i = 0; i < nbr_emb.size(); ++i) {
-    const float* en = nbr_emb[i];
-    float dot = 0.0f;
-    for (int j = 0; j < d; ++j) dot += en[j] * focal[j];
-    scores[i] = options_.use_edge_attention
-                    ? dot
-                    : 0.0f;  // mean aggregation when attention disabled
-    max_score = std::max(max_score, scores[i]);
-  }
+  for (size_t i = 0; i < n; ++i) max_score = std::max(max_score, scores[i]);
   float z = 0.0f;
-  for (auto& s : scores) {
-    s = std::exp(s - max_score);
-    z += s;
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = std::exp(scores[i] - max_score);
+    z += scores[i];
   }
-  for (size_t i = 0; i < nbr_emb.size(); ++i) {
+  std::fill(out, out + d, 0.0f);
+  for (size_t i = 0; i < n; ++i) {
     const float w = scores[i] / z;
-    const float* en = nbr_emb[i];
-    for (int j = 0; j < d; ++j) (*out)[j] += w * en[j];
+    const float* en = s.nbr_emb[i];
+    for (int j = 0; j < d; ++j) out[j] += w * en[j];
   }
   // Residual merge with the focal vector.
-  for (int j = 0; j < d; ++j) {
-    (*out)[j] = std::tanh((*out)[j] + 0.5f * focal[j]);
-  }
+  for (int j = 0; j < d; ++j) out[j] = std::tanh(out[j] + 0.5f * focal[j]);
 }
 
 ServingResponse OnlineServer::Handle(const ServingRequest& req) {
@@ -245,9 +307,10 @@ ServingResponse OnlineServer::Handle(const ServingRequest& req,
                                      const SessionToken& token) {
   WallTimer timer;
   ServingResponse resp;
-  std::vector<float> uq;
+  std::vector<float>& uq = ThreadScratch().uq;
+  uq.resize(options_.embedding_dim);
   if (token.last_write_epoch > 0) ryw_requests_->Add(1);
-  EmbedRequest(req, token.last_write_epoch, &uq);
+  EmbedRequest(req, token.last_write_epoch, uq.data());
   const int64_t embed_us = static_cast<int64_t>(timer.ElapsedMicros());
   embed_latency_us_->Record(embed_us);
   resp.items = index_.Search(uq.data(), options_.top_n);

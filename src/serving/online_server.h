@@ -1,10 +1,14 @@
 // Online retrieval server (paper Sec. VI-VII.E). The serving path per
 // request (user, query):
 //   1. look up the user/query embeddings (trained, exported as float rows);
-//   2. fetch cached top-k neighbors of both nodes (k = 30, async refresh);
+//   2. fetch the cached top-k neighbors of both nodes (k = 30, async
+//      refresh) in one cache read, one shared-lock hold for both egos;
 //   3. lightweight edge-level-attention-only aggregation in plain float math
-//      (the paper keeps only the edge-level attention online to cut cost);
+//      (the paper keeps only the edge-level attention online to cut cost),
+//      prefetching each neighbor row as its id resolves;
 //   4. ANN search over the item inverted index for the top-N items.
+// Steps 1-3 work in per-thread scratch reused across requests, so a
+// request allocates only its response.
 //
 // The load generator offers requests at a configurable QPS (open loop) from
 // several client threads and records per-request latency, which reproduces
@@ -47,8 +51,9 @@ struct OnlineServerOptions {
   /// Disable edge attention (mean aggregation) — ablation of the serving
   /// reduction described in Sec. VII-E.
   bool use_edge_attention = true;
-  /// Bypass the neighbor cache (sample on the request path) — quantifies
-  /// the cache benefit.
+  /// Bypass the neighbor cache (compute each ego's top-k on the request
+  /// path; the cache stays empty and counts nothing) — quantifies the cache
+  /// benefit.
   bool use_neighbor_cache = true;
   uint64_t seed = 23;
   /// Metrics registry for serving instruments ("serving." names). Null
@@ -166,8 +171,9 @@ class OnlineServer {
   /// Edge-attention-only user-query embedding in plain float math. A
   /// non-zero `min_epoch` (with an attached engine) fetches ego neighbors
   /// through the engine's freshness-aware router instead of the cache.
+  /// Writes embedding_dim floats to `out`.
   void EmbedRequest(const ServingRequest& req, uint64_t min_epoch,
-                    std::vector<float>* out);
+                    float* out);
 
   /// Embedding row of `id`, spanning the offline export and streamed
   /// overlay nodes; nullptr for ids with no registered embedding. The

@@ -120,6 +120,37 @@ TEST_P(AnnRecallTest, RecallAt10ReasonableForNprobe) {
 INSTANTIATE_TEST_SUITE_P(NprobeLevels, AnnRecallTest,
                          ::testing::Values(2, 8, 20));
 
+// One k-means pass over nlist == n rows seeds one centroid per row, and
+// each row lands in its own list with that row as its centroid. Search
+// over every probed row then returns exactly the nprobe rows of highest
+// score, best first: the lists it probes are the nprobe of highest
+// centroid score.
+TEST(AnnIndexTest, ProbesTheListsOfHighestCentroidScore) {
+  const int dim = 8;
+  const int64_t n = 40;
+  auto vecs = RandomVectors(n, dim, 21);
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = 100 + i;
+  for (int nprobe : {1, 2, 3, 7, 8, 39, 40}) {
+    AnnIndexOptions opt;
+    opt.nlist = static_cast<int>(n);
+    opt.nprobe = nprobe;
+    opt.kmeans_iters = 1;
+    AnnIndex index(opt);
+    ASSERT_TRUE(index.Build(vecs, n, dim, ids).ok());
+    for (int q = 0; q < 20; ++q) {
+      auto query = RandomVectors(1, dim, 300 + q);
+      const auto got = index.Search(query.data(), static_cast<int>(n));
+      const auto want = index.SearchExact(query.data(), nprobe);
+      ASSERT_EQ(got.size(), want.size()) << "nprobe " << nprobe;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got[r].id, want[r].id) << "nprobe " << nprobe << " q " << q;
+        EXPECT_EQ(got[r].score, want[r].score);
+      }
+    }
+  }
+}
+
 TEST(AnnIndexTest, SearchFasterThanExactOnLargeIndex) {
   const int dim = 32;
   const int64_t n = 5000;
@@ -535,14 +566,85 @@ TEST(NeighborCacheTest, WarmAllFillsEverything) {
   EXPECT_EQ(cache.Stats().misses, 0);
 }
 
+// Two nodes with at least one neighbor each.
+std::pair<graph::NodeId, graph::NodeId> TwoConnectedNodes(
+    const graph::HeteroGraph& g) {
+  std::vector<graph::NodeId> found;
+  for (graph::NodeId v = 0; v < g.num_nodes() && found.size() < 2; ++v) {
+    if (g.degree(v) > 0) found.push_back(v);
+  }
+  EXPECT_EQ(found.size(), 2u);
+  return {found[0], found[1]};
+}
+
+TEST(NeighborCacheTest, GetManyAppendsEveryHitInOrder) {
+  const auto& ds = Dataset();
+  NeighborCacheOptions opt;
+  opt.k = 4;
+  NeighborCache cache(&ds.graph, opt);
+  const auto [a, b] = TwoConnectedNodes(ds.graph);
+  cache.WarmAll({a, b});
+  std::vector<graph::NodeId> list_a, list_b;
+  ASSERT_TRUE(cache.Get(a, &list_a));
+  ASSERT_TRUE(cache.Get(b, &list_b));
+  const int64_t hits_before = cache.hits();
+
+  std::vector<graph::NodeId> out = {-7};  // GetMany appends
+  const graph::NodeId nodes[2] = {a, b};
+  EXPECT_EQ(cache.GetMany(nodes, &out), 2);
+  std::vector<graph::NodeId> want = {-7};
+  want.insert(want.end(), list_a.begin(), list_a.end());
+  want.insert(want.end(), list_b.begin(), list_b.end());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(cache.hits(), hits_before + 2);
+  EXPECT_EQ(cache.misses(), 0);
+}
+
+TEST(NeighborCacheTest, GetManyHitPlusMissSchedulesOneFill) {
+  const auto& ds = Dataset();
+  NeighborCacheOptions opt;
+  opt.k = 4;
+  // Keeps the scheduled fill pending while the test misses again.
+  opt.refresh_delay_micros = 300000;
+  NeighborCache cache(&ds.graph, opt);
+  const auto [a, b] = TwoConnectedNodes(ds.graph);
+  cache.Warm(a);
+  std::vector<graph::NodeId> list_a;
+  ASSERT_TRUE(cache.Get(a, &list_a));
+  ASSERT_FALSE(list_a.empty());
+
+  std::vector<graph::NodeId> out;
+  const graph::NodeId nodes[2] = {a, b};
+  EXPECT_EQ(cache.GetMany(nodes, &out), 1);
+  EXPECT_EQ(out, list_a);
+  NeighborCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.scheduled_fills, 1);
+
+  // The same miss while that fill is pending schedules no second fill.
+  out.clear();
+  EXPECT_EQ(cache.GetMany(nodes, &out), 1);
+  EXPECT_EQ(out, list_a);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.scheduled_fills, 1);
+}
+
 // --- OnlineServer ------------------------------------------------------------------
+
+/// The embedding rows MakeServer exports, one per graph node.
+std::vector<float> NodeEmbeddings(const data::RetrievalDataset& ds, int d) {
+  Rng rng(55);
+  std::vector<float> node_emb(ds.graph.num_nodes() * d);
+  for (auto& x : node_emb) x = static_cast<float>(rng.Normal()) * 0.5f;
+  return node_emb;
+}
 
 std::unique_ptr<OnlineServer> MakeServer(const data::RetrievalDataset& ds,
                                          OnlineServerOptions opt) {
   const int d = opt.embedding_dim;
-  Rng rng(55);
-  std::vector<float> node_emb(ds.graph.num_nodes() * d);
-  for (auto& x : node_emb) x = static_cast<float>(rng.Normal()) * 0.5f;
+  std::vector<float> node_emb = NodeEmbeddings(ds, d);
   std::vector<float> item_emb(ds.all_items.size() * d);
   for (size_t i = 0; i < ds.all_items.size(); ++i) {
     std::copy(node_emb.begin() + ds.all_items[i] * d,
@@ -587,6 +689,127 @@ TEST(OnlineServerTest, CacheWarmupIncreasesHitRate) {
     server->Handle({ds.test[i].user, ds.test[i].query});
   }
   EXPECT_GT(server->cache().hits(), 30);  // 2 lookups per request, warmed
+}
+
+/// The request embedding of `req` in plain loops: focal = user + query
+/// rows; both egos' neighbors from the warmed `cache`; dot with the focal
+/// vector (or 0 without attention), softmax, weighted sum, then
+/// tanh(out + 0.5 * focal). Each dot rounds its products before summing
+/// them in order, as Handle does, whatever the compiler would contract.
+std::vector<float> ReferenceEmbedding(const ServingRequest& req,
+                                      const std::vector<float>& node_emb,
+                                      int d, bool attention,
+                                      NeighborCache* cache) {
+  std::vector<float> focal(d, 0.0f);
+  for (graph::NodeId ego : {req.user, req.query}) {
+    for (int j = 0; j < d; ++j) focal[j] += node_emb[ego * d + j];
+  }
+  std::vector<graph::NodeId> nbrs;
+  for (graph::NodeId ego : {req.user, req.query}) {
+    std::vector<graph::NodeId> list;
+    EXPECT_TRUE(cache->Get(ego, &list));
+    nbrs.insert(nbrs.end(), list.begin(), list.end());
+  }
+  if (nbrs.empty()) return focal;
+  std::vector<float> scores;
+  float max_score = -1e30f;
+  std::vector<float> prod(d);
+  for (graph::NodeId nb : nbrs) {
+    for (int j = 0; j < d; ++j) prod[j] = node_emb[nb * d + j] * focal[j];
+    float dot = 0.0f;
+    for (int j = 0; j < d; ++j) dot += prod[j];
+    scores.push_back(attention ? dot : 0.0f);
+    max_score = std::max(max_score, scores.back());
+  }
+  float z = 0.0f;
+  for (float& sc : scores) {
+    sc = std::exp(sc - max_score);
+    z += sc;
+  }
+  std::vector<float> out(d, 0.0f);
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    const float w = scores[i] / z;
+    for (int j = 0; j < d; ++j) out[j] += w * node_emb[nbrs[i] * d + j];
+  }
+  for (int j = 0; j < d; ++j) out[j] = std::tanh(out[j] + 0.5f * focal[j]);
+  return out;
+}
+
+void ExpectSameItems(const std::vector<AnnResult>& got,
+                     const std::vector<AnnResult>& want, size_t request) {
+  ASSERT_EQ(got.size(), want.size()) << "request " << request;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].id, want[r].id) << "request " << request << " rank " << r;
+    EXPECT_EQ(got[r].score, want[r].score)
+        << "request " << request << " rank " << r;
+  }
+}
+
+// Handle's embedding, recomputed from public state in plain loops, retrieves
+// exactly Handle's items (ids, order and scores), with attention on and
+// off, through the warmed cache and through the cache bypass.
+class HandleReferenceTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(HandleReferenceTest, HandleMatchesPlainLoopEmbedding) {
+  const auto [attention, use_cache] = GetParam();
+  const auto& ds = Dataset();
+  const size_t kRequests = 200;
+  ASSERT_GE(ds.test.size(), kRequests);
+  OnlineServerOptions opt;
+  opt.embedding_dim = 12;  // not a multiple of a vector width
+  opt.top_n = 20;
+  opt.use_edge_attention = attention;
+  opt.use_neighbor_cache = use_cache;
+  auto server = MakeServer(ds, opt);
+  const std::vector<float> node_emb = NodeEmbeddings(ds, opt.embedding_dim);
+  NeighborCache reference_cache(&ds.graph, opt.cache);
+  std::vector<graph::NodeId> egos;
+  for (size_t i = 0; i < kRequests; ++i) {
+    egos.push_back(ds.test[i].user);
+    egos.push_back(ds.test[i].query);
+  }
+  reference_cache.WarmAll(egos);
+  if (use_cache) server->WarmCache(egos);
+  for (size_t i = 0; i < kRequests; ++i) {
+    const ServingRequest req{ds.test[i].user, ds.test[i].query};
+    const std::vector<float> ref = ReferenceEmbedding(
+        req, node_emb, opt.embedding_dim, attention, &reference_cache);
+    ExpectSameItems(server->Handle(req).items,
+                    server->index().Search(ref.data(), opt.top_n), i);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AttentionAndCache, HandleReferenceTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
+
+// The cache-bypass ablation neither stores entries nor counts lookups or
+// fills, and serves what the warmed cached path serves.
+TEST(OnlineServerTest, CacheBypassLeavesCacheUntouched) {
+  const auto& ds = Dataset();
+  OnlineServerOptions opt;
+  opt.embedding_dim = 8;
+  opt.top_n = 10;
+  auto cached = MakeServer(ds, opt);
+  opt.use_neighbor_cache = false;
+  auto bypass = MakeServer(ds, opt);
+  std::vector<graph::NodeId> egos;
+  for (int i = 0; i < 30; ++i) {
+    egos.push_back(ds.test[i].user);
+    egos.push_back(ds.test[i].query);
+  }
+  cached->WarmCache(egos);
+  for (size_t i = 0; i < 30; ++i) {
+    const ServingRequest req{ds.test[i].user, ds.test[i].query};
+    ExpectSameItems(bypass->Handle(req).items, cached->Handle(req).items, i);
+  }
+  EXPECT_EQ(bypass->cache().size(), 0u);
+  const NeighborCacheStats stats = bypass->cache().Stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.scheduled_fills, 0);
+  EXPECT_EQ(stats.completed_fills, 0);
 }
 
 TEST(OnlineServerTest, SessionTokenRoutesReadsThroughEngine) {
