@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <new>
+#include <type_traits>
 
 namespace zoomer {
 namespace tensor {
@@ -11,19 +12,159 @@ std::atomic<int64_t> AllocationTracker::allocated_floats_{0};
 
 namespace {
 
-std::shared_ptr<TensorImpl> MakeImpl(int64_t rows, int64_t cols,
-                                     bool requires_grad) {
+// ------------------------------------------------------------------ pool ---
+
+// Under AddressSanitizer every block is a plain heap allocation, so a use
+// after free is reported instead of landing in a cached block.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kUsePool = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kUsePool = false;
+#else
+constexpr bool kUsePool = true;
+#endif
+#else
+constexpr bool kUsePool = true;
+#endif
+
+using detail::kPoolClassCapBytes;
+using detail::kPoolClasses;
+using detail::kPoolGranuleBytes;
+
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+// One thread's free blocks, one LIFO list per size class.
+struct ThreadCache {
+  FreeBlock* head[kPoolClasses] = {};
+  int64_t count[kPoolClasses] = {};
+  int64_t bytes = 0;
+  ~ThreadCache();
+};
+
+thread_local ThreadCache tls_cache;
+// Set once tls_cache is destroyed at thread exit; blocks freed after that
+// (by thread_local or static tensors destroyed later) go to the heap.
+thread_local bool tls_cache_gone = false;
+
+ThreadCache::~ThreadCache() {
+  for (int c = 0; c < kPoolClasses; ++c) {
+    while (FreeBlock* b = head[c]) {
+      head[c] = b->next;
+      ::operator delete(b);
+    }
+  }
+  bytes = 0;
+  tls_cache_gone = true;
+}
+
+int64_t ClassBytes(int c) { return (c + 1) * kPoolGranuleBytes; }
+
+void* PoolAlloc(size_t bytes) {
+  if constexpr (kUsePool) {
+    const int64_t c = (static_cast<int64_t>(bytes) - 1) / kPoolGranuleBytes;
+    if (c < kPoolClasses) {
+      if (!tls_cache_gone) {
+        ThreadCache& cache = tls_cache;
+        if (FreeBlock* b = cache.head[c]) {
+          cache.head[c] = b->next;
+          --cache.count[c];
+          cache.bytes -= ClassBytes(c);
+          return b;
+        }
+      }
+      return ::operator new(ClassBytes(c));
+    }
+  }
+  return ::operator new(bytes);
+}
+
+void PoolFree(void* p, size_t bytes) {
+  if constexpr (kUsePool) {
+    const int64_t c = (static_cast<int64_t>(bytes) - 1) / kPoolGranuleBytes;
+    if (c < kPoolClasses && !tls_cache_gone) {
+      ThreadCache& cache = tls_cache;
+      if ((cache.count[c] + 1) * ClassBytes(c) <= kPoolClassCapBytes) {
+        auto* b = static_cast<FreeBlock*>(p);
+        b->next = cache.head[c];
+        cache.head[c] = b;
+        ++cache.count[c];
+        cache.bytes += ClassBytes(c);
+        return;
+      }
+    }
+  }
+  ::operator delete(p);
+}
+
+// ------------------------------------------------------------- impl block ---
+
+// Offsets inside a block stay 16-byte aligned, as heap allocations are.
+constexpr size_t RoundUp16(size_t n) { return (n + 15) & ~size_t{15}; }
+
+enum class Fill { kZero, kNone };  // kNone: the caller writes every element
+
+// Makes one node with its data, its zeroed gradient (if requires_grad) and
+// `aux_bytes` of op-saved values in a single pooled block.
+TensorImpl* MakeImpl(int64_t rows, int64_t cols, bool requires_grad,
+                     Fill fill = Fill::kNone, size_t aux_bytes = 0) {
   ZCHECK(rows > 0 && cols > 0) << "invalid shape " << rows << "x" << cols;
-  auto impl = std::make_shared<TensorImpl>();
+  const size_t n = static_cast<size_t>(rows * cols);
+  const size_t header = RoundUp16(sizeof(TensorImpl));
+  const size_t floats = RoundUp16(n * sizeof(float));
+  const size_t bytes =
+      header + floats + (requires_grad ? floats : 0) + aux_bytes;
+  char* block = static_cast<char*>(PoolAlloc(bytes));
+  auto* impl = new (block) TensorImpl;
   impl->rows = rows;
   impl->cols = cols;
-  impl->data.assign(static_cast<size_t>(rows * cols), 0.0f);
+  impl->block_bytes = bytes;
   impl->requires_grad = requires_grad;
-  if (requires_grad) impl->EnsureGrad();
+  impl->data = reinterpret_cast<float*>(block + header);
+  if (fill == Fill::kZero) std::fill(impl->data, impl->data + n, 0.0f);
+  if (requires_grad) {
+    impl->grad = reinterpret_cast<float*>(block + header + floats);
+    std::fill(impl->grad, impl->grad + n, 0.0f);
+  }
+  if (aux_bytes > 0) {
+    impl->aux = block + header + floats + (requires_grad ? floats : 0);
+  }
   AllocationTracker::Record(rows * cols);
   return impl;
 }
 
+void FreeImpl(TensorImpl* impl) {
+  const size_t bytes = impl->block_bytes;
+  impl->~TensorImpl();
+  PoolFree(impl, bytes);
+}
+
+// Records `a` (and `b`) as owned parents of `out`.
+void Link(TensorImpl* out, const Tensor& a) {
+  out->parents[0] = a.impl();
+  a.impl()->refs.fetch_add(1, std::memory_order_relaxed);
+}
+void Link(TensorImpl* out, const Tensor& a, const Tensor& b) {
+  Link(out, a);
+  out->parents[1] = b.impl();
+  b.impl()->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Stores the backward closure `f` (trivially copyable: sizes, flags and
+// scalars only) in out's inline buffer, behind a plain function pointer.
+template <typename F>
+void SetBackward(TensorImpl* out, const F& f) {
+  static_assert(sizeof(F) <= sizeof(out->closure) && alignof(F) <= 8,
+                "backward closure does not fit the inline buffer");
+  static_assert(std::is_trivially_copyable_v<F>,
+                "backward closures capture plain values only");
+  new (out->closure) F(f);
+  out->backward = [](TensorImpl& self) {
+    (*std::launder(reinterpret_cast<F*>(self.closure)))(self);
+  };
+}
 
 bool AnyRequiresGrad(const Tensor& a, const Tensor& b) {
   return a.requires_grad() || b.requires_grad();
@@ -31,29 +172,52 @@ bool AnyRequiresGrad(const Tensor& a, const Tensor& b) {
 
 // Accumulates src into dst->grad (dst must require grad).
 void Accumulate(TensorImpl* dst, const float* src, int64_t n) {
-  dst->EnsureGrad();
-  float* g = dst->grad.data();
+  float* g = dst->grad;
   for (int64_t i = 0; i < n; ++i) g[i] += src[i];
 }
 
 }  // namespace
 
+namespace detail {
+
+int64_t ThreadCachedBytes() {
+  return kUsePool && !tls_cache_gone ? tls_cache.bytes : 0;
+}
+
+}  // namespace detail
+
+void ReleaseGraph(TensorImpl* impl) {
+  TensorImpl* dead = nullptr;  // unreferenced impls still to free
+  for (;;) {
+    for (TensorImpl* parent : impl->parents) {
+      if (parent != nullptr && detail::Unref(parent)) {
+        parent->next_dead = dead;
+        dead = parent;
+      }
+    }
+    FreeImpl(impl);
+    if (dead == nullptr) return;
+    impl = dead;
+    dead = impl->next_dead;
+  }
+}
+
 Tensor Tensor::Zeros(int64_t rows, int64_t cols, bool requires_grad) {
-  return Tensor(MakeImpl(rows, cols, requires_grad));
+  return Tensor(MakeImpl(rows, cols, requires_grad, Fill::kZero));
 }
 
 Tensor Tensor::Full(int64_t rows, int64_t cols, float value,
                     bool requires_grad) {
   auto impl = MakeImpl(rows, cols, requires_grad);
-  std::fill(impl->data.begin(), impl->data.end(), value);
+  std::fill(impl->data, impl->data + impl->size(), value);
   return Tensor(impl);
 }
 
 Tensor Tensor::Randn(int64_t rows, int64_t cols, Rng* rng, float stddev,
                      bool requires_grad) {
   auto impl = MakeImpl(rows, cols, requires_grad);
-  for (auto& v : impl->data) {
-    v = static_cast<float>(rng->Normal()) * stddev;
+  for (float* v = impl->data; v != impl->data + impl->size(); ++v) {
+    *v = static_cast<float>(rng->Normal()) * stddev;
   }
   return Tensor(impl);
 }
@@ -62,8 +226,8 @@ Tensor Tensor::Xavier(int64_t rows, int64_t cols, Rng* rng,
                       bool requires_grad) {
   auto impl = MakeImpl(rows, cols, requires_grad);
   float limit = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  for (auto& v : impl->data) {
-    v = (2.0f * rng->UniformFloat() - 1.0f) * limit;
+  for (float* v = impl->data; v != impl->data + impl->size(); ++v) {
+    *v = (2.0f * rng->UniformFloat() - 1.0f) * limit;
   }
   return Tensor(impl);
 }
@@ -72,7 +236,7 @@ Tensor Tensor::FromVector(const std::vector<float>& values, int64_t rows,
                           int64_t cols, bool requires_grad) {
   ZCHECK_EQ(static_cast<int64_t>(values.size()), rows * cols);
   auto impl = MakeImpl(rows, cols, requires_grad);
-  impl->data = values;
+  std::copy(values.begin(), values.end(), impl->data);
   return Tensor(impl);
 }
 
@@ -82,7 +246,7 @@ Tensor Tensor::Scalar(float value, bool requires_grad) {
 
 Tensor Tensor::Detach() const {
   auto impl = MakeImpl(rows(), cols(), false);
-  impl->data = impl_->data;
+  std::copy(data(), data() + size(), impl->data);
   return Tensor(impl);
 }
 
@@ -91,21 +255,34 @@ std::string Tensor::ShapeString() const {
   return std::to_string(rows()) + "x" + std::to_string(cols());
 }
 
+void Tensor::ZeroGrad() {
+  if (!impl_->requires_grad) return;
+  std::fill(impl_->grad, impl_->grad + size(), 0.0f);
+}
+
 void Tensor::Backward() {
   ZCHECK(defined());
   ZCHECK_EQ(size(), 1) << "Backward() requires a scalar loss";
-  // Postorder DFS to get reverse topological order.
-  std::vector<TensorImpl*> order;
-  std::unordered_set<TensorImpl*> visited;
-  std::vector<std::pair<TensorImpl*, size_t>> stack;
-  stack.emplace_back(impl_.get(), 0);
-  visited.insert(impl_.get());
+  if (!impl_->requires_grad) return;  // no recorded graph behind it
+  static std::atomic<uint64_t> last_mark{0};
+  const uint64_t mark = last_mark.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Postorder DFS over the interior nodes (leaves propagate nothing) to get
+  // reverse topological order.
+  thread_local std::vector<TensorImpl*> order;
+  thread_local std::vector<std::pair<TensorImpl*, int>> stack;
+  order.clear();
+  stack.clear();
+  if (impl_->parents[0] != nullptr) {
+    impl_->mark = mark;
+    stack.emplace_back(impl_, 0);
+  }
   while (!stack.empty()) {
     auto& [node, child_idx] = stack.back();
-    if (child_idx < node->parents.size()) {
-      TensorImpl* parent = node->parents[child_idx].get();
+    if (child_idx < 2 && node->parents[child_idx] != nullptr) {
+      TensorImpl* parent = node->parents[child_idx];
       ++child_idx;
-      if (visited.insert(parent).second) {
+      if (parent->parents[0] != nullptr && parent->mark != mark) {
+        parent->mark = mark;
         stack.emplace_back(parent, 0);
       }
     } else {
@@ -115,13 +292,16 @@ void Tensor::Backward() {
   }
   // order is postorder: parents before children; iterate in reverse so each
   // node's grad is complete before it propagates to parents.
-  impl_->EnsureGrad();
   impl_->grad[0] = 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl* node = *it;
-    if (node->backward_fn && !node->grad.empty()) {
-      node->backward_fn(*node);
-    }
+    node->backward(*node);
+  }
+  // Keep the scratch for the next call unless an outsized graph grew it.
+  constexpr size_t kKeepScratch = size_t{1} << 16;
+  if (order.capacity() > kKeepScratch) {
+    order = {};
+    stack = {};
   }
 }
 
@@ -133,10 +313,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   ZCHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch " << a.ShapeString()
                                 << " x " << b.ShapeString();
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  auto out = MakeImpl(n, m, AnyRequiresGrad(a, b));
+  auto out = MakeImpl(n, m, AnyRequiresGrad(a, b), Fill::kZero);
   const float* ad = a.data();
   const float* bd = b.data();
-  float* od = out->data.data();
+  float* od = out->data;
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       const float av = ad[i * k + p];
@@ -147,16 +327,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     }
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, n, k, m](TensorImpl& self) {
-      const float* g = self.grad.data();
+    Link(out, a, b);
+    SetBackward(out, [n, k, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
       if (ai->requires_grad) {
-        ai->EnsureGrad();
         // dA = G · B^T : (n,m)x(m,k)
-        const float* bd2 = bi->data.data();
-        float* ga = ai->grad.data();
+        const float* bd2 = bi->data;
+        float* ga = ai->grad;
         for (int64_t i = 0; i < n; ++i) {
           for (int64_t p = 0; p < k; ++p) {
             float s = 0.0f;
@@ -168,10 +347,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
       }
       if (bi->requires_grad) {
-        bi->EnsureGrad();
         // dB = A^T · G : (k,n)x(n,m)
-        const float* ad2 = ai->data.data();
-        float* gb = bi->grad.data();
+        const float* ad2 = ai->data;
+        float* gb = bi->grad;
         for (int64_t i = 0; i < n; ++i) {
           const float* grow = g + i * m;
           for (int64_t p = 0; p < k; ++p) {
@@ -182,7 +360,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           }
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -196,7 +374,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   auto out = MakeImpl(a.rows(), a.cols(), AnyRequiresGrad(a, b));
   const float* ad = a.data();
   const float* bd = b.data();
-  float* od = out->data.data();
+  float* od = out->data;
   const int64_t n = a.rows(), m = a.cols();
   if (same) {
     for (int64_t i = 0; i < n * m; ++i) od[i] = ad[i] + bd[i];
@@ -208,15 +386,14 @@ Tensor Add(const Tensor& a, const Tensor& b) {
     for (int64_t i = 0; i < n * m; ++i) od[i] = ad[i] + s;
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, same, row_bcast, n, m](TensorImpl& self) {
-      const float* g = self.grad.data();
-      if (ai->requires_grad) Accumulate(ai.get(), g, n * m);
+    Link(out, a, b);
+    SetBackward(out, [same, row_bcast, n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
+      if (ai->requires_grad) Accumulate(ai, g, n * m);
       if (bi->requires_grad) {
-        bi->EnsureGrad();
-        float* gb = bi->grad.data();
+        float* gb = bi->grad;
         if (same) {
           for (int64_t i = 0; i < n * m; ++i) gb[i] += g[i];
         } else if (row_bcast) {
@@ -228,7 +405,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
           gb[0] += s;
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -240,17 +417,16 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) out->data[i] = a.data()[i] - b.data()[i];
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, n](TensorImpl& self) {
-      const float* g = self.grad.data();
-      if (ai->requires_grad) Accumulate(ai.get(), g, n);
+    Link(out, a, b);
+    SetBackward(out, [n](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
+      if (ai->requires_grad) Accumulate(ai, g, n);
       if (bi->requires_grad) {
-        bi->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) bi->grad[i] -= g[i];
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -264,7 +440,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const int64_t n = a.rows(), m = a.cols();
   const float* ad = a.data();
   const float* bd = b.data();
-  float* od = out->data.data();
+  float* od = out->data;
   if (same) {
     for (int64_t i = 0; i < n * m; ++i) od[i] = ad[i] * bd[i];
   } else {
@@ -272,16 +448,15 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       for (int64_t j = 0; j < m; ++j) od[i * m + j] = ad[i * m + j] * bd[i];
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, same, n, m](TensorImpl& self) {
-      const float* g = self.grad.data();
-      const float* ad2 = ai->data.data();
-      const float* bd2 = bi->data.data();
+    Link(out, a, b);
+    SetBackward(out, [same, n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
+      const float* ad2 = ai->data;
+      const float* bd2 = bi->data;
       if (ai->requires_grad) {
-        ai->EnsureGrad();
-        float* ga = ai->grad.data();
+        float* ga = ai->grad;
         if (same) {
           for (int64_t i = 0; i < n * m; ++i) ga[i] += g[i] * bd2[i];
         } else {
@@ -290,8 +465,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
         }
       }
       if (bi->requires_grad) {
-        bi->EnsureGrad();
-        float* gb = bi->grad.data();
+        float* gb = bi->grad;
         if (same) {
           for (int64_t i = 0; i < n * m; ++i) gb[i] += g[i] * ad2[i];
         } else {
@@ -302,7 +476,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
           }
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -312,12 +486,11 @@ Tensor Scale(const Tensor& a, float s) {
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) out->data[i] = a.data()[i] * s;
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, s, n](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [s, n](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       for (int64_t i = 0; i < n; ++i) ai->grad[i] += self.grad[i] * s;
-    };
+    });
   }
   return Tensor(out);
 }
@@ -327,11 +500,11 @@ Tensor AddScalar(const Tensor& a, float s) {
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) out->data[i] = a.data()[i] + s;
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n](TensorImpl& self) {
-      Accumulate(ai.get(), self.grad.data(), n);
-    };
+    Link(out, a);
+    SetBackward(out, [n](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      Accumulate(ai, self.grad, n);
+    });
   }
   return Tensor(out);
 }
@@ -344,15 +517,14 @@ Tensor ElementwiseUnary(const Tensor& a, FwdFn fwd, BwdFn bwd_from_out) {
   const int64_t n = a.size();
   for (int64_t i = 0; i < n; ++i) out->data[i] = fwd(a.data()[i]);
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, bwd_from_out](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n, bwd_from_out](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       for (int64_t i = 0; i < n; ++i) {
         ai->grad[i] +=
             self.grad[i] * bwd_from_out(self.data[i], ai->data[i]);
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -399,7 +571,7 @@ Tensor SoftmaxRows(const Tensor& a) {
   auto out = MakeImpl(a.rows(), a.cols(), a.requires_grad());
   const int64_t n = a.rows(), m = a.cols();
   const float* ad = a.data();
-  float* od = out->data.data();
+  float* od = out->data;
   for (int64_t i = 0; i < n; ++i) {
     const float* row = ad + i * m;
     float* orow = od + i * m;
@@ -413,13 +585,12 @@ Tensor SoftmaxRows(const Tensor& a) {
     for (int64_t j = 0; j < m; ++j) orow[j] /= sum;
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m](TensorImpl& self) {
-      ai->EnsureGrad();
-      const float* y = self.data.data();
-      const float* g = self.grad.data();
-      float* ga = ai->grad.data();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      const float* y = self.data;
+      const float* g = self.grad;
+      float* ga = ai->grad;
       for (int64_t i = 0; i < n; ++i) {
         float dot = 0.0f;
         for (int64_t j = 0; j < m; ++j) dot += g[i * m + j] * y[i * m + j];
@@ -427,7 +598,7 @@ Tensor SoftmaxRows(const Tensor& a) {
           ga[i * m + j] += y[i * m + j] * (g[i * m + j] - dot);
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -438,14 +609,13 @@ Tensor Transpose(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i)
     for (int64_t j = 0; j < m; ++j) out->data[j * n + i] = a.data()[i * m + j];
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
           ai->grad[i * m + j] += self.grad[j * n + i];
-    };
+    });
   }
   return Tensor(out);
 }
@@ -456,29 +626,27 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   auto out = MakeImpl(n, ma + mb, AnyRequiresGrad(a, b));
   for (int64_t i = 0; i < n; ++i) {
     std::copy(a.data() + i * ma, a.data() + (i + 1) * ma,
-              out->data.data() + i * (ma + mb));
+              out->data + i * (ma + mb));
     std::copy(b.data() + i * mb, b.data() + (i + 1) * mb,
-              out->data.data() + i * (ma + mb) + ma);
+              out->data + i * (ma + mb) + ma);
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, n, ma, mb](TensorImpl& self) {
-      const float* g = self.grad.data();
+    Link(out, a, b);
+    SetBackward(out, [n, ma, mb](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
       if (ai->requires_grad) {
-        ai->EnsureGrad();
         for (int64_t i = 0; i < n; ++i)
           for (int64_t j = 0; j < ma; ++j)
             ai->grad[i * ma + j] += g[i * (ma + mb) + j];
       }
       if (bi->requires_grad) {
-        bi->EnsureGrad();
         for (int64_t i = 0; i < n; ++i)
           for (int64_t j = 0; j < mb; ++j)
             bi->grad[i * mb + j] += g[i * (ma + mb) + ma + j];
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -487,17 +655,17 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
   ZCHECK_EQ(a.cols(), b.cols());
   const int64_t na = a.rows(), nb = b.rows(), m = a.cols();
   auto out = MakeImpl(na + nb, m, AnyRequiresGrad(a, b));
-  std::copy(a.data(), a.data() + na * m, out->data.data());
-  std::copy(b.data(), b.data() + nb * m, out->data.data() + na * m);
+  std::copy(a.data(), a.data() + na * m, out->data);
+  std::copy(b.data(), b.data() + nb * m, out->data + na * m);
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, na, nb, m](TensorImpl& self) {
-      if (ai->requires_grad) Accumulate(ai.get(), self.grad.data(), na * m);
+    Link(out, a, b);
+    SetBackward(out, [na, nb, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      if (ai->requires_grad) Accumulate(ai, self.grad, na * m);
       if (bi->requires_grad)
-        Accumulate(bi.get(), self.grad.data() + na * m, nb * m);
-    };
+        Accumulate(bi, self.grad + na * m, nb * m);
+    });
   }
   return Tensor(out);
 }
@@ -509,13 +677,12 @@ Tensor SumAll(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i) s += a.data()[i];
   out->data[0] = s;
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       const float g = self.grad[0];
       for (int64_t i = 0; i < n; ++i) ai->grad[i] += g;
-    };
+    });
   }
   return Tensor(out);
 }
@@ -533,13 +700,12 @@ Tensor SumRowsTo1(const Tensor& a) {
     out->data[i] = s;
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j) ai->grad[i * m + j] += self.grad[i];
-    };
+    });
   }
   return Tensor(out);
 }
@@ -553,15 +719,14 @@ Tensor MeanRows(const Tensor& a) {
     out->data[j] = s / static_cast<float>(n);
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       const float inv = 1.0f / static_cast<float>(n);
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
           ai->grad[i * m + j] += self.grad[j] * inv;
-    };
+    });
   }
   return Tensor(out);
 }
@@ -569,25 +734,28 @@ Tensor MeanRows(const Tensor& a) {
 Tensor Rows(const Tensor& a, const std::vector<int64_t>& idx) {
   ZCHECK(!idx.empty());
   const int64_t m = a.cols();
-  auto out = MakeImpl(static_cast<int64_t>(idx.size()), m, a.requires_grad());
+  const size_t count = idx.size();
+  auto out = MakeImpl(static_cast<int64_t>(count), m, a.requires_grad(),
+                      Fill::kNone,
+                      a.requires_grad() ? count * sizeof(int64_t) : 0);
   for (size_t r = 0; r < idx.size(); ++r) {
     ZCHECK(idx[r] >= 0 && idx[r] < a.rows())
         << "row index " << idx[r] << " out of range " << a.rows();
     std::copy(a.data() + idx[r] * m, a.data() + (idx[r] + 1) * m,
-              out->data.data() + static_cast<int64_t>(r) * m);
+              out->data + static_cast<int64_t>(r) * m);
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto indices = idx;
-    out->parents = {ai};
-    out->backward_fn = [ai, indices, m](TensorImpl& self) {
-      ai->EnsureGrad();
-      for (size_t r = 0; r < indices.size(); ++r) {
-        const float* g = self.grad.data() + static_cast<int64_t>(r) * m;
-        float* ga = ai->grad.data() + indices[r] * m;
+    std::copy(idx.begin(), idx.end(), static_cast<int64_t*>(out->aux));
+    Link(out, a);
+    SetBackward(out, [count, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      const int64_t* indices = static_cast<const int64_t*>(self.aux);
+      for (size_t r = 0; r < count; ++r) {
+        const float* g = self.grad + static_cast<int64_t>(r) * m;
+        float* ga = ai->grad + indices[r] * m;
         for (int64_t j = 0; j < m; ++j) ga[j] += g[j];
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -602,24 +770,22 @@ Tensor RowwiseDot(const Tensor& a, const Tensor& b) {
     out->data[i] = s;
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, n, m](TensorImpl& self) {
-      const float* g = self.grad.data();
+    Link(out, a, b);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* g = self.grad;
       if (ai->requires_grad) {
-        ai->EnsureGrad();
         for (int64_t i = 0; i < n; ++i)
           for (int64_t j = 0; j < m; ++j)
             ai->grad[i * m + j] += g[i] * bi->data[i * m + j];
       }
       if (bi->requires_grad) {
-        bi->EnsureGrad();
         for (int64_t i = 0; i < n; ++i)
           for (int64_t j = 0; j < m; ++j)
             bi->grad[i * m + j] += g[i] * ai->data[i * m + j];
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -627,8 +793,11 @@ Tensor RowwiseDot(const Tensor& a, const Tensor& b) {
 Tensor RowwiseCosine(const Tensor& a, const Tensor& b, float eps) {
   ZCHECK(a.rows() == b.rows() && a.cols() == b.cols());
   const int64_t n = a.rows(), m = a.cols();
-  auto out = MakeImpl(n, 1, AnyRequiresGrad(a, b));
-  std::vector<float> na(n), nb(n);
+  // The row norms (+eps) are kept for backward: na then nb.
+  auto out = MakeImpl(n, 1, AnyRequiresGrad(a, b), Fill::kNone,
+                      2 * n * sizeof(float));
+  float* na = static_cast<float*>(out->aux);
+  float* nb = na + n;
   for (int64_t i = 0; i < n; ++i) {
     float sa = 0.0f, sb = 0.0f, dot = 0.0f;
     for (int64_t j = 0; j < m; ++j) {
@@ -643,12 +812,14 @@ Tensor RowwiseCosine(const Tensor& a, const Tensor& b, float eps) {
     out->data[i] = dot / (na[i] * nb[i]);
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    auto bi = b.impl();
-    out->parents = {ai, bi};
-    out->backward_fn = [ai, bi, n, m, na, nb](TensorImpl& self) {
-      const float* g = self.grad.data();
-      const float* y = self.data.data();
+    Link(out, a, b);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      TensorImpl* bi = self.parents[1];
+      const float* na = static_cast<const float*>(self.aux);
+      const float* nb = na + n;
+      const float* g = self.grad;
+      const float* y = self.data;
       for (int64_t i = 0; i < n; ++i) {
         const float gi = g[i];
         if (gi == 0.0f) continue;
@@ -657,26 +828,26 @@ Tensor RowwiseCosine(const Tensor& a, const Tensor& b, float eps) {
           const float av = ai->data[i * m + j];
           const float bv = bi->data[i * m + j];
           if (ai->requires_grad) {
-            ai->EnsureGrad();
             ai->grad[i * m + j] +=
                 gi * (bv / (na[i] * nb[i]) - cosv * av / (na[i] * na[i]));
           }
           if (bi->requires_grad) {
-            bi->EnsureGrad();
             bi->grad[i * m + j] +=
                 gi * (av / (na[i] * nb[i]) - cosv * bv / (nb[i] * nb[i]));
           }
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
 
 Tensor NormalizeRows(const Tensor& a, float eps) {
   const int64_t n = a.rows(), m = a.cols();
-  auto out = MakeImpl(n, m, a.requires_grad());
-  std::vector<float> norms(n);
+  // The row norms (+eps) are kept for backward.
+  auto out =
+      MakeImpl(n, m, a.requires_grad(), Fill::kNone, n * sizeof(float));
+  float* norms = static_cast<float*>(out->aux);
   for (int64_t i = 0; i < n; ++i) {
     float s = 0.0f;
     for (int64_t j = 0; j < m; ++j) {
@@ -688,12 +859,12 @@ Tensor NormalizeRows(const Tensor& a, float eps) {
       out->data[i * m + j] = a.data()[i * m + j] / norms[i];
   }
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m, norms](TensorImpl& self) {
-      ai->EnsureGrad();
-      const float* g = self.grad.data();
-      const float* y = self.data.data();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      const float* norms = static_cast<const float*>(self.aux);
+      const float* g = self.grad;
+      const float* y = self.data;
       for (int64_t i = 0; i < n; ++i) {
         float dot = 0.0f;
         for (int64_t j = 0; j < m; ++j) dot += g[i * m + j] * y[i * m + j];
@@ -701,7 +872,7 @@ Tensor NormalizeRows(const Tensor& a, float eps) {
           ai->grad[i * m + j] += (g[i * m + j] - dot * y[i * m + j]) / norms[i];
         }
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -712,15 +883,14 @@ Tensor TileRows(const Tensor& a, int64_t n) {
   const int64_t m = a.cols();
   auto out = MakeImpl(n, m, a.requires_grad());
   for (int64_t i = 0; i < n; ++i)
-    std::copy(a.data(), a.data() + m, out->data.data() + i * m);
+    std::copy(a.data(), a.data() + m, out->data + i * m);
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n, m](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j) ai->grad[j] += self.grad[i * m + j];
-    };
+    });
   }
   return Tensor(out);
 }
@@ -729,7 +899,9 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& labels) {
   ZCHECK(logits.rows() == labels.rows() && logits.cols() == 1 &&
          labels.cols() == 1);
   const int64_t n = logits.rows();
-  auto out = MakeImpl(1, 1, logits.requires_grad());
+  // Backward reads a copy of the labels kept in the block.
+  auto out = MakeImpl(1, 1, logits.requires_grad(), Fill::kNone,
+                      logits.requires_grad() ? n * sizeof(float) : 0);
   float loss = 0.0f;
   for (int64_t i = 0; i < n; ++i) {
     const float x = logits.data()[i];
@@ -738,19 +910,19 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& labels) {
   }
   out->data[0] = loss / static_cast<float>(n);
   if (out->requires_grad) {
-    auto li = logits.impl();
-    auto yi = labels.impl();
-    out->parents = {li};
-    out->backward_fn = [li, yi, n](TensorImpl& self) {
-      li->EnsureGrad();
+    std::copy(labels.data(), labels.data() + n, static_cast<float*>(out->aux));
+    Link(out, logits);
+    SetBackward(out, [n](TensorImpl& self) {
+      TensorImpl* li = self.parents[0];
+      const float* labels = static_cast<const float*>(self.aux);
       const float g = self.grad[0] / static_cast<float>(n);
       for (int64_t i = 0; i < n; ++i) {
         const float x = li->data[i];
         const float p = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
                                : std::exp(x) / (1.0f + std::exp(x));
-        li->grad[i] += g * (p - yi->data[i]);
+        li->grad[i] += g * (p - labels[i]);
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -761,7 +933,9 @@ Tensor FocalBceWithLogits(const Tensor& logits, const Tensor& labels,
          labels.cols() == 1);
   const int64_t n = logits.rows();
   static constexpr float kEps = 1e-7f;
-  auto out = MakeImpl(1, 1, logits.requires_grad());
+  // Backward reads a copy of the labels kept in the block.
+  auto out = MakeImpl(1, 1, logits.requires_grad(), Fill::kNone,
+                      logits.requires_grad() ? n * sizeof(float) : 0);
   float loss = 0.0f;
   for (int64_t i = 0; i < n; ++i) {
     const float x = logits.data()[i];
@@ -774,15 +948,15 @@ Tensor FocalBceWithLogits(const Tensor& logits, const Tensor& labels,
   }
   out->data[0] = loss / static_cast<float>(n);
   if (out->requires_grad) {
-    auto li = logits.impl();
-    auto yi = labels.impl();
-    out->parents = {li};
-    out->backward_fn = [li, yi, n, gamma](TensorImpl& self) {
-      li->EnsureGrad();
+    std::copy(labels.data(), labels.data() + n, static_cast<float*>(out->aux));
+    Link(out, logits);
+    SetBackward(out, [n, gamma](TensorImpl& self) {
+      TensorImpl* li = self.parents[0];
+      const float* labels = static_cast<const float*>(self.aux);
       const float g = self.grad[0] / static_cast<float>(n);
       for (int64_t i = 0; i < n; ++i) {
         const float x = li->data[i];
-        const float y = yi->data[i];
+        const float y = labels[i];
         float p = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
                          : std::exp(x) / (1.0f + std::exp(x));
         p = std::min(std::max(p, kEps), 1.0f - kEps);
@@ -796,7 +970,7 @@ Tensor FocalBceWithLogits(const Tensor& logits, const Tensor& labels,
             std::pow(p, gamma + 1.0f);
         li->grad[i] += g * (y * pos + (1.0f - y) * neg);
       }
-    };
+    });
   }
   return Tensor(out);
 }
@@ -808,13 +982,12 @@ Tensor SquaredNorm(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i) s += a.data()[i] * a.data()[i];
   out->data[0] = s;
   if (out->requires_grad) {
-    auto ai = a.impl();
-    out->parents = {ai};
-    out->backward_fn = [ai, n](TensorImpl& self) {
-      ai->EnsureGrad();
+    Link(out, a);
+    SetBackward(out, [n](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
       const float g = self.grad[0];
       for (int64_t i = 0; i < n; ++i) ai->grad[i] += 2.0f * g * ai->data[i];
-    };
+    });
   }
   return Tensor(out);
 }

@@ -2,10 +2,34 @@
 //
 // This is the numerical substrate for every learned model in the repository
 // (the Zoomer multi-level attention networks and all GNN baselines). The
-// design mirrors a minimal PyTorch: a Tensor is a shared handle to a
-// TensorImpl holding data, an optional gradient buffer, parent links, and a
-// backward closure. Calling Backward() on a scalar tensor runs reverse-mode
-// differentiation over the dynamically recorded graph.
+// design mirrors a minimal PyTorch: a Tensor is a reference-counted handle to
+// a TensorImpl, and every differentiable op records one impl whose backward
+// function scatters its gradient into its parents. Calling Backward() on a
+// scalar tensor runs reverse-mode differentiation over the dynamically
+// recorded graph.
+//
+// A training example records thousands of small nodes, so the bookkeeping
+// around each node is kept off the general heap:
+//  - Storage. An impl, its data, its gradient (when it requires one) and any
+//    values its op saves for backward (row indices, norms, labels) share one
+//    block from a thread-caching size-class pool. A freed block goes to the
+//    freeing thread's cache, capped per size class (beyond the cap it goes
+//    back to the heap), so blocks may move between threads and no cache
+//    grows without bound. Under AddressSanitizer the pool is bypassed, so
+//    every block is a plain heap allocation and a use after free is reported.
+//  - Parents and closures. An impl holds at most two owned parent pointers
+//    inline (no op has more) and its backward as a plain function pointer
+//    plus the op's captured sizes and flags in an inline buffer; backward
+//    reads its inputs through the parent pointers.
+//  - Backward walk. Nodes propagate in reverse postorder of a DFS from the
+//    loss that visits each node's first parent before its second; this order
+//    fixes how every gradient sum is accumulated, so it is part of the
+//    numerical contract. Interior nodes are marked visited with a per-call
+//    stamp; leaves (no parents, nothing to propagate) never enter the order;
+//    the DFS stack and the order live in thread-local scratch.
+//  - Teardown. When the last handle to a graph drops, impls whose count
+//    reaches zero are freed through a worklist, not by recursion, so a graph
+//    of any depth is released in constant stack.
 //
 // All tensors are row-major (rows x cols). Scalars are 1x1.
 #ifndef ZOOMER_TENSOR_TENSOR_H_
@@ -13,9 +37,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -42,27 +65,82 @@ class AllocationTracker {
   static std::atomic<int64_t> allocated_floats_;
 };
 
+struct TensorImpl;
+
+/// Propagates self.grad into the grad buffers of self.parents.
+using BackwardFn = void (*)(TensorImpl& self);
+
+/// One node of the recorded graph. Made only by the factories and ops in
+/// tensor.cc, which place it at the head of its pooled block.
 struct TensorImpl {
   int64_t rows = 0;
   int64_t cols = 0;
-  std::vector<float> data;
-  std::vector<float> grad;  // non-empty iff requires_grad
+  float* data = nullptr;
+  float* grad = nullptr;  // zeroed at creation iff requires_grad
+  void* aux = nullptr;    // values the op saved for backward, in the block
+  // Owned references; parents[1] is null for unary ops, both for leaves.
+  TensorImpl* parents[2] = {nullptr, nullptr};
+  BackwardFn backward = nullptr;  // set iff parents[0] is
+  alignas(8) unsigned char closure[24];  // the op's captured sizes and flags
+  union {
+    uint64_t mark = 0;       // stamp of the last Backward() that visited it
+    TensorImpl* next_dead;   // teardown worklist link once unreferenced
+  };
+  uint64_t block_bytes = 0;
+  std::atomic<uint32_t> refs{1};
   bool requires_grad = false;
-  std::vector<std::shared_ptr<TensorImpl>> parents;
-  // Propagates this->grad into parents' grad buffers.
-  std::function<void(TensorImpl&)> backward_fn;
 
   int64_t size() const { return rows * cols; }
-  void EnsureGrad() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
-  }
 };
 
-/// Shared handle to a tensor. Copies alias the same storage.
+/// Frees `impl`, whose last reference just dropped, and every ancestor only
+/// it kept alive.
+void ReleaseGraph(TensorImpl* impl);
+
+namespace detail {
+
+/// Drops one reference to `impl`; true if it was the last. A sole owner
+/// skips the atomic decrement: no other handle exists that could take a
+/// reference concurrently.
+inline bool Unref(TensorImpl* impl) {
+  return impl->refs.load(std::memory_order_acquire) == 1 ||
+         impl->refs.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+/// Bytes of free blocks the calling thread's pool cache holds (0 when the
+/// pool is bypassed).
+int64_t ThreadCachedBytes();
+
+/// Block sizes the pool caches: 64-byte granules up to 4 KiB; larger blocks
+/// come from and return to the heap directly.
+inline constexpr int64_t kPoolGranuleBytes = 64;
+inline constexpr int kPoolClasses = 64;
+/// Cap on the free bytes a thread caches per size class.
+inline constexpr int64_t kPoolClassCapBytes = int64_t{2} << 20;
+
+}  // namespace detail
+
+/// Reference-counted handle to a tensor. Copies alias the same storage.
 class Tensor {
  public:
-  Tensor() : impl_(nullptr) {}
-  explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {}
+  Tensor() = default;
+  /// Adopts the single reference a freshly made impl starts with.
+  explicit Tensor(TensorImpl* impl) : impl_(impl) {}
+  Tensor(const Tensor& other) : impl_(other.impl_) { Retain(impl_); }
+  Tensor(Tensor&& other) noexcept
+      : impl_(std::exchange(other.impl_, nullptr)) {}
+  Tensor& operator=(const Tensor& other) {
+    Retain(other.impl_);
+    Drop(std::exchange(impl_, other.impl_));
+    return *this;
+  }
+  Tensor& operator=(Tensor&& other) noexcept {
+    if (this != &other) {
+      Drop(std::exchange(impl_, std::exchange(other.impl_, nullptr)));
+    }
+    return *this;
+  }
+  ~Tensor() { Drop(impl_); }
 
   /// rows x cols tensor of zeros.
   static Tensor Zeros(int64_t rows, int64_t cols, bool requires_grad = false);
@@ -87,13 +165,12 @@ class Tensor {
   int64_t size() const { return impl_->size(); }
   bool requires_grad() const { return impl_->requires_grad; }
 
-  float* data() { return impl_->data.data(); }
-  const float* data() const { return impl_->data.data(); }
+  float* data() { return impl_->data; }
+  const float* data() const { return impl_->data; }
   float* grad_data() {
-    impl_->EnsureGrad();
-    return impl_->grad.data();
+    ZCHECK(impl_->requires_grad);
+    return impl_->grad;
   }
-  const std::vector<float>& grad_vector() const { return impl_->grad; }
 
   float at(int64_t i, int64_t j) const {
     ZCHECK(i >= 0 && i < rows() && j >= 0 && j < cols())
@@ -112,14 +189,11 @@ class Tensor {
   }
   float grad_at(int64_t i, int64_t j) const {
     ZCHECK(impl_->requires_grad);
-    ZCHECK_EQ(static_cast<int64_t>(impl_->grad.size()), size());
     return impl_->grad[i * cols() + j];
   }
 
   /// Zeroes this tensor's gradient buffer (does not touch ancestors).
-  void ZeroGrad() {
-    if (impl_->requires_grad) impl_->grad.assign(impl_->data.size(), 0.0f);
-  }
+  void ZeroGrad();
 
   /// Reverse-mode backprop from this scalar tensor: seeds d(self)/d(self)=1
   /// and propagates through the recorded graph in reverse topological order.
@@ -128,17 +202,25 @@ class Tensor {
   /// Detached copy sharing no autograd history (fresh storage).
   Tensor Detach() const;
 
-  std::shared_ptr<TensorImpl> impl() const { return impl_; }
+  TensorImpl* impl() const { return impl_; }
 
   std::string ShapeString() const;
 
  private:
-  std::shared_ptr<TensorImpl> impl_;
+  static void Retain(TensorImpl* impl) {
+    if (impl != nullptr) impl->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void Drop(TensorImpl* impl) {
+    if (impl != nullptr && detail::Unref(impl)) ReleaseGraph(impl);
+  }
+
+  TensorImpl* impl_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
-// Differentiable operators. Every op returns a fresh tensor whose backward_fn
-// scatters gradients into its parents. Ops requiring shape agreement ZCHECK.
+// Differentiable operators. Every op returns a fresh tensor whose backward
+// function scatters gradients into its parents. Ops requiring shape
+// agreement ZCHECK.
 // ---------------------------------------------------------------------------
 
 /// C = A · B. A: (n,k), B: (k,m).

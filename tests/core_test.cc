@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "core/relevance.h"
 #include "core/roi_sampler.h"
@@ -440,6 +442,35 @@ TEST(ZoomerTrainerTest, TrainingImprovesAucAboveChance) {
   EXPECT_GT(eval.auc, 0.60) << "Zoomer failed to learn planted structure";
   EXPECT_GE(eval.mae, 0.0);
   EXPECT_GE(eval.rmse, eval.mae);
+}
+
+TEST(ZoomerTrainerTest, TrainIsBitDeterministic) {
+  // Two runs from the same seed record, backpropagate and free the same
+  // graphs (the second on reused pooled blocks) and must agree bit for bit.
+  auto ds = TinyDataset();
+  auto run = [&ds](std::vector<uint32_t>* bits) {
+    ZoomerModel model(&ds.graph, TinyConfig());
+    TrainOptions topt;
+    topt.epochs = 2;
+    topt.batch_size = 32;
+    topt.max_examples_per_epoch = 300;
+    ZoomerTrainer trainer(&model, topt);
+    trainer.Train(ds);
+    for (const auto& t : model.Parameters()) {
+      for (int64_t i = 0; i < t.size(); ++i) {
+        uint32_t u;
+        std::memcpy(&u, t.data() + i, sizeof(u));
+        bits->push_back(u);
+      }
+    }
+    return trainer.Evaluate(ds, 300).auc;
+  };
+  std::vector<uint32_t> first, second;
+  const double auc_first = run(&first);
+  const double auc_second = run(&second);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(auc_first, auc_second);
 }
 
 TEST(ZoomerTrainerTest, LossDecreasesOverEpochs) {

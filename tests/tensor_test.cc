@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -177,6 +182,42 @@ TEST(TensorTest, BackwardTwiceAccumulates) {
   Tensor loss2 = Mul(x, x);
   loss2.Backward();
   EXPECT_NEAR(x.grad_at(0, 0), 12.0f, 1e-5f);  // accumulated
+}
+
+TEST(TensorTest, GradientSumsFollowReversePostorder) {
+  // p receives 1e8, -1e8 and (via the shared node) 1; the shared node
+  // receives -1e8, 1e8 and 1. Float addition keeps the 1 only when it comes
+  // last, so the values below pin the propagation order: reverse postorder
+  // of a DFS that visits each node's first parent before its second.
+  Tensor p = Tensor::Scalar(1.0f, /*requires_grad=*/true);
+  Tensor shared = Scale(p, 1.0f);
+  Tensor big = Scale(p, 1e8f);
+  Tensor one = Scale(shared, 1.0f);
+  Tensor neg = Scale(p, -1e8f);
+  Tensor s_big = Scale(shared, 1e8f);
+  Tensor s_neg = Scale(shared, -1e8f);
+  Tensor loss = Add(Add(Add(Add(one, big), s_big), neg), s_neg);
+  loss.Backward();
+  auto bits = [](float f) {
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+  };
+  EXPECT_EQ(bits(p.grad_at(0, 0)), 0x3f800000u);       // 1.0f
+  EXPECT_EQ(bits(shared.grad_at(0, 0)), 0x3f800000u);  // 1.0f
+}
+
+TEST(TensorTest, MillionOpChainBackpropagatesAndTearsDown) {
+  // Dropping the last handle frees the whole chain without recursing once
+  // per node, so a graph this deep fits the default thread stack.
+  Tensor p = Tensor::Scalar(1.0f, /*requires_grad=*/true);
+  {
+    Tensor y = Tensor::Scalar(0.0f);
+    for (int i = 0; i < 1000000; ++i) y = Add(y, p);
+    y.Backward();
+    EXPECT_EQ(p.grad_at(0, 0), 1e6f);
+  }
+  EXPECT_EQ(p.grad_at(0, 0), 1e6f);  // the leaf outlives its consumers
 }
 
 // --- Parameterized gradient checks over all differentiable ops -------------
@@ -366,6 +407,94 @@ TEST(NnTest, EmbeddingLookupAndTrain) {
   }
   EXPECT_LT(SquaredNorm(emb.Lookup({3})).item(), 1e-3f);
   EXPECT_GT(SquaredNorm(emb.Lookup({7})).item(), 1e-3f);  // untouched row
+}
+
+// --- Pooled storage across threads -------------------------------------------
+
+// Trains a small MLP on XOR and returns the bits of its parameters.
+std::vector<uint32_t> TrainXor() {
+  Rng rng(43);
+  Mlp mlp({2, 8, 1}, &rng, Activation::kTanh);
+  Tensor x = Tensor::FromVector({0, 0, 0, 1, 1, 0, 1, 1}, 4, 2);
+  Tensor y = Tensor::FromVector({0, 1, 1, 0}, 4, 1);
+  Adam opt(mlp.Parameters(), 0.05f);
+  for (int step = 0; step < 300; ++step) {
+    opt.ZeroGrad();
+    BceWithLogits(mlp.Forward(x), y).Backward();
+    opt.Step();
+  }
+  std::vector<uint32_t> bits;
+  for (const Tensor& t : mlp.Parameters()) {
+    for (int64_t i = 0; i < t.size(); ++i) {
+      uint32_t u;
+      std::memcpy(&u, t.data() + i, sizeof(u));
+      bits.push_back(u);
+    }
+  }
+  return bits;
+}
+
+TEST(PoolTest, TwoThreadsTrainTheirOwnModelsAtOnce) {
+  const std::vector<uint32_t> reference = TrainXor();
+  std::vector<uint32_t> a, b;
+  std::thread ta([&] { a = TrainXor(); });
+  std::thread tb([&] { b = TrainXor(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, reference);
+  EXPECT_EQ(b, reference);
+}
+
+TEST(PoolTest, GraphsFreedOnAnotherThreadStayUnderTheCacheCap) {
+  // The main thread records graphs over a shared weight; a consumer thread
+  // backpropagates and drops them. Every node is 4x16 with a gradient, so
+  // all of them land in one size class, and far more bytes pass through
+  // the consumer than one class may cache.
+  constexpr int kGraphs = 2000;
+  constexpr int kOpsPerGraph = 16;
+  Rng rng(5);
+  Tensor w = Tensor::Randn(4, 16, &rng, 1.0f, /*requires_grad=*/true);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Tensor> queue;
+  bool done = false;
+  int64_t consumer_cached = -1;
+  std::thread consumer([&] {
+    for (;;) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return !queue.empty() || done; });
+      if (queue.empty()) break;
+      Tensor g = std::move(queue.front());
+      queue.pop_front();
+      lock.unlock();
+      g.Backward();
+    }  // g and the graph behind it are freed here
+    consumer_cached = detail::ThreadCachedBytes();
+  });
+  for (int i = 0; i < kGraphs; ++i) {
+    Tensor loss;
+    {
+      Tensor h = Tensor::Randn(4, 16, &rng, 1.0f, /*requires_grad=*/true);
+      for (int k = 0; k < kOpsPerGraph; ++k) h = Tanh(Add(h, w));
+      loss = SumAll(h);  // 1x1: its own (smaller) size class
+    }  // the queued loss now holds the only reference to the graph
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      queue.push_back(std::move(loss));
+    }
+    cv.notify_one();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  consumer.join();
+  EXPECT_GE(consumer_cached, 0);
+  // Two size classes in use: the 4x16 nodes and the 1x1 losses.
+  EXPECT_LE(consumer_cached, 2 * detail::kPoolClassCapBytes);
+  // Every graph added its gradient into w.
+  EXPECT_NE(w.grad_at(0, 0), 0.0f);
 }
 
 TEST(AllocationTrackerTest, CountsAllocatedFloats) {
