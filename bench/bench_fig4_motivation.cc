@@ -52,6 +52,10 @@ void Fig4a(const data::RetrievalDataset& ds) {
       loss.Backward();
     }
     const double secs = timer.ElapsedSeconds();
+    // Tensor floats allocated per iteration. Neighbor stacks and slot
+    // gathers are single nodes, so this counts each stacked (k x d) matrix
+    // once; it no longer includes the O(k^2 d) prefix copies a chain of
+    // two-way row concatenations made.
     const double mb_per_iter =
         tensor::AllocationTracker::allocated_bytes() / double(iters) / 1e6;
     std::printf("%10d %14.1f %18.3f\n", k, iters / secs, mb_per_iter);

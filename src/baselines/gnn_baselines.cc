@@ -12,21 +12,6 @@ using graph::kNumNodeTypes;
 using graph::NodeId;
 using tensor::Tensor;
 
-namespace {
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 GnnBaselineConfig GnnBaselineConfig::GraphSage(int hidden_dim, int k,
                                                uint64_t seed) {
   GnnBaselineConfig c;
@@ -133,11 +118,11 @@ Tensor GnnBaselineModel::AggregateNode(const RoiSubgraph& roi,
         break;
       case Aggregator::kGat: {
         // Static pairwise attention (paper eq. 3): no focal conditioning.
-        Tensor cat = ConcatCols(TileRows(z_self, k), z_children);
+        const Tensor parts[] = {z_self, z_children};  // z_self tiled k times
         Tensor scores =
-            LeakyRelu(MatMul(cat, gat_a_), config_.leaky_slope);
+            LeakyRelu(ConcatMatVec(parts, gat_a_), config_.leaky_slope);
         Tensor alpha = SoftmaxColumn(scores);
-        e_t = MatMul(Transpose(alpha), z_children);
+        e_t = WeightedSumRows(alpha, z_children);
         break;
       }
       case Aggregator::kImportance: {
@@ -148,7 +133,7 @@ Tensor GnnBaselineModel::AggregateNode(const RoiSubgraph& roi,
         for (auto& x : w) x /= total;
         Tensor weights =
             Tensor::FromVector(w, k, 1);  // constant, non-trainable
-        e_t = MatMul(Transpose(weights), z_children);
+        e_t = WeightedSumRows(weights, z_children);
         break;
       }
     }

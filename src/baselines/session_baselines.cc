@@ -13,21 +13,6 @@ using graph::NodeId;
 using graph::NodeType;
 using tensor::Tensor;
 
-namespace {
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 SessionBaselineModel::SessionBaselineModel(const graph::HeteroGraph* g,
                                            const SessionBaselineConfig& config)
     : graph_(g), config_(config), init_rng_(config.seed) {
@@ -101,7 +86,7 @@ Tensor SessionBaselineModel::StampReadout(const Tensor& history,
                   TileRows(attn_w2_.Forward(key), n))),
       attn_v_);
   Tensor alpha = SoftmaxColumn(scores);
-  Tensor m_a = MatMul(Transpose(alpha), history);
+  Tensor m_a = WeightedSumRows(alpha, history);
   // Memory-priority merge: attended memory + last click.
   return Add(m_a, x_t);
 }
@@ -115,7 +100,7 @@ Tensor SessionBaselineModel::GceGnnReadout(const Tensor& history,
                TileRows(attn_w2_.Forward(query), n))),
       attn_v_);
   Tensor alpha = SoftmaxColumn(scores);
-  return MatMul(Transpose(alpha), history);
+  return WeightedSumRows(alpha, history);
 }
 
 Tensor SessionBaselineModel::FgnnReadout(const Tensor& history,
@@ -130,7 +115,7 @@ Tensor SessionBaselineModel::FgnnReadout(const Tensor& history,
   Tensor scores =
       MatMul(Tanh(Add(attn_w1_.Forward(history), p)), attn_v_);
   Tensor alpha = SoftmaxColumn(scores);
-  return MatMul(Transpose(alpha), history);
+  return WeightedSumRows(alpha, history);
 }
 
 Tensor SessionBaselineModel::MccfReadout(const Tensor& history,

@@ -14,28 +14,6 @@ using graph::NodeId;
 using graph::NodeType;
 using tensor::Tensor;
 
-namespace {
-
-// Column sum of a (n x d) matrix -> (1 x d), via ones(1,n) · M.
-Tensor ColSum(const Tensor& m) {
-  return MatMul(Tensor::Full(1, m.rows(), 1.0f), m);
-}
-
-// Stacks k (1 x d) rows into a (k x d) matrix.
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  ZCHECK(!rows.empty());
-  Tensor out = rows[0];
-  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
-  return out;
-}
-
-// Softmax over the rows of a (k x 1) column vector.
-Tensor SoftmaxColumn(const Tensor& col) {
-  return Transpose(SoftmaxRows(Transpose(col)));
-}
-
-}  // namespace
-
 std::string ZoomerConfig::VariantName() const {
   if (!use_feature_projection && !use_edge_attention && !use_semantic_attention)
     return "GCN";
@@ -60,7 +38,7 @@ SlotEmbeddings::SlotEmbeddings(const HeteroGraph& g, int dim, Rng* rng)
   }
   for (int t = 0; t < kNumNodeTypes; ++t) {
     for (int64_t v : vocab[t]) {
-      tables_[t].emplace_back(v, dim, rng);
+      tables_[t].push_back(tensor::Embedding(v, dim, rng).table());
     }
   }
 }
@@ -69,18 +47,13 @@ Tensor SlotEmbeddings::Lookup(const graph::GraphView& g, NodeId node) const {
   const int t = static_cast<int>(g.node_type(node));
   auto s = g.slots(node);
   ZCHECK_EQ(s.size(), tables_[t].size());
-  std::vector<Tensor> rows;
-  rows.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    rows.push_back(tables_[t][i].Lookup({s[i]}));
-  }
-  return StackRows(rows);
+  return GatherRows(tables_[t], s);
 }
 
 std::vector<Tensor> SlotEmbeddings::Parameters() const {
   std::vector<Tensor> out;
   for (const auto& per_type : tables_) {
-    for (const auto& e : per_type) out.push_back(e.table());
+    out.insert(out.end(), per_type.begin(), per_type.end());
   }
   return out;
 }
@@ -117,7 +90,7 @@ Tensor ZoomerModel::FeatureLevelEmbedding(NodeId node,
     // eq. 6-7: Wc = softmax(H·C / sqrt(d)); Z = H ⊙ Wc; pooled to (1 x d).
     const float inv_sqrt_d =
         1.0f / std::sqrt(static_cast<float>(config_.hidden_dim));
-    Tensor scores = Scale(MatMul(h, Transpose(focal)), inv_sqrt_d);  // (n x 1)
+    Tensor scores = ScaledRowDots(h, focal, inv_sqrt_d);  // (n x 1)
     Tensor alpha = SoftmaxColumn(scores);
     z = ColSum(Mul(h, alpha));  // focal-weighted sum of slot latents
   } else {
@@ -142,16 +115,15 @@ Tensor ZoomerModel::EdgeAttentionWeights(const Tensor& ego_z,
                                          const Tensor& child_z,
                                          const Tensor& focal) const {
   // eq. 8: softmax_k LeakyReLU(a' [Z_i || Z_k || Z_c]) within one type group.
-  const int64_t k = child_z.rows();
-  Tensor ego_tiled = TileRows(ego_z, k);
-  Tensor focal_tiled = TileRows(focal, k);
-  Tensor cat = ConcatCols(ConcatCols(ego_tiled, child_z), focal_tiled);
-  Tensor scores = LeakyRelu(MatMul(cat, edge_attn_a_), config_.leaky_slope);
+  const Tensor parts[] = {ego_z, child_z, focal};  // ego, focal tiled k times
+  Tensor scores =
+      LeakyRelu(ConcatMatVec(parts, edge_attn_a_), config_.leaky_slope);
   return SoftmaxColumn(scores);  // (k x 1)
 }
 
-Tensor ZoomerModel::AggregateNode(const RoiSubgraph& roi, int index,
-                                  const Tensor& focal) const {
+Tensor ZoomerModel::AggregateNode(
+    const RoiSubgraph& roi, int index, const Tensor& focal,
+    std::vector<EdgeAttentionRecord>* edge_weights) const {
   const RoiNode& node = roi.nodes[index];
   Tensor z_self = FeatureLevelEmbedding(node.id, focal);
   const int cb = roi.children_begin[index];
@@ -161,9 +133,12 @@ Tensor ZoomerModel::AggregateNode(const RoiSubgraph& roi, int index,
   // Recurse into children, grouped by node type (eq. 9 aggregates within
   // type; eq. 10-11 combines across types).
   std::array<std::vector<Tensor>, kNumNodeTypes> by_type;
+  std::array<std::vector<NodeId>, kNumNodeTypes> ids_by_type;
   for (int c = cb; c < ce; ++c) {
-    const int t = static_cast<int>(view_->node_type(roi.nodes[c].id));
-    by_type[t].push_back(AggregateNode(roi, c, focal));
+    const NodeId child = roi.nodes[c].id;
+    const int t = static_cast<int>(view_->node_type(child));
+    by_type[t].push_back(AggregateNode(roi, c, focal, nullptr));
+    if (edge_weights != nullptr) ids_by_type[t].push_back(child);
   }
 
   std::vector<Tensor> type_embeddings;
@@ -171,11 +146,21 @@ Tensor ZoomerModel::AggregateNode(const RoiSubgraph& roi, int index,
     if (by_type[t].empty()) continue;
     Tensor z_children = StackRows(by_type[t]);  // (k_t x d)
     Tensor e_t;
+    Tensor alpha;
     if (config_.use_edge_attention) {
-      Tensor alpha = EdgeAttentionWeights(z_self, z_children, focal);
-      e_t = MatMul(Transpose(alpha), z_children);  // (1 x d)
+      alpha = EdgeAttentionWeights(z_self, z_children, focal);
+      e_t = WeightedSumRows(alpha, z_children);  // (1 x d)
     } else {
       e_t = MeanRows(z_children);  // mean pooling (GCN / Zoomer-FS)
+    }
+    if (edge_weights != nullptr) {
+      const int64_t k = z_children.rows();
+      for (int64_t i = 0; i < k; ++i) {
+        edge_weights->push_back(
+            {ids_by_type[t][i], static_cast<NodeType>(t),
+             alpha.defined() ? alpha.at(i, 0)
+                             : 1.0f / static_cast<float>(k)});
+      }
     }
     type_embeddings.push_back(e_t);
   }
@@ -192,13 +177,10 @@ Tensor ZoomerModel::AggregateNode(const RoiSubgraph& roi, int index,
     for (const auto& e_t : type_embeddings) {
       cosines.push_back(RowwiseCosine(z_self, e_t));  // (1 x 1)
     }
-    Tensor cos_row = cosines[0];
-    for (size_t i = 1; i < cosines.size(); ++i) {
-      cos_row = ConcatCols(cos_row, cosines[i]);
-    }
-    Tensor weights = SoftmaxRows(Scale(cos_row, 2.0f));  // (1 x T)
+    Tensor weights =
+        SoftmaxColumn(Scale(StackRows(cosines), 2.0f));  // (T x 1)
     for (size_t i = 0; i < type_embeddings.size(); ++i) {
-      Tensor w = Rows(Transpose(weights), {static_cast<int64_t>(i)});
+      Tensor w = Rows(weights, {static_cast<int64_t>(i)});
       Tensor weighted = Mul(type_embeddings[i], w);
       h_agg = h_agg.defined() ? Add(h_agg, weighted) : weighted;
     }
@@ -225,7 +207,7 @@ Tensor ZoomerModel::EgoEmbedding(NodeId ego, NodeId user, NodeId query,
       sampler_.FocalVector(*view_, {user, query});  // content space (eq. 5)
   RoiSubgraph roi = sampler_.Sample(*view_, ego, fc, rng);
   Tensor focal = FocalVector(user, query);  // latent space (Sec. V-A)
-  return AggregateNode(roi, 0, focal);
+  return AggregateNode(roi, 0, focal, nullptr);
 }
 
 Tensor ZoomerModel::UserQueryEmbedding(NodeId user, NodeId query,
@@ -237,8 +219,8 @@ Tensor ZoomerModel::UserQueryEmbedding(NodeId user, NodeId query,
   const NodeId egos[2] = {user, query};
   std::vector<RoiSubgraph> rois = sampler_.SampleBatch(*view_, egos, fc, rng);
   Tensor focal = FocalVector(user, query);  // latent space (Sec. V-A)
-  Tensor hu = AggregateNode(rois[0], 0, focal);
-  Tensor hq = AggregateNode(rois[1], 0, focal);
+  Tensor hu = AggregateNode(rois[0], 0, focal, nullptr);
+  Tensor hq = AggregateNode(rois[1], 0, focal, nullptr);
   return Tanh(uq_tower_.Forward(ConcatCols(hu, hq)));
 }
 
@@ -272,29 +254,8 @@ std::vector<EdgeAttentionRecord> ZoomerModel::ExplainEdgeWeights(
   std::vector<float> fc = sampler_.FocalVector(*view_, {user, query});
   RoiSubgraph roi = sampler_.Sample(*view_, ego, fc, rng);
   Tensor focal = FocalVector(user, query);
-  Tensor z_self = FeatureLevelEmbedding(ego, focal);
-
   std::vector<EdgeAttentionRecord> records;
-  const int cb = roi.children_begin[0];
-  const int ce = roi.children_end[0];
-  if (cb >= ce) return records;
-  std::array<std::vector<int>, kNumNodeTypes> by_type;
-  for (int c = cb; c < ce; ++c) {
-    by_type[static_cast<int>(view_->node_type(roi.nodes[c].id))].push_back(c);
-  }
-  for (int t = 0; t < kNumNodeTypes; ++t) {
-    if (by_type[t].empty()) continue;
-    std::vector<Tensor> rows;
-    for (int c : by_type[t]) {
-      rows.push_back(FeatureLevelEmbedding(roi.nodes[c].id, focal));
-    }
-    Tensor alpha = EdgeAttentionWeights(z_self, StackRows(rows), focal);
-    for (size_t i = 0; i < by_type[t].size(); ++i) {
-      records.push_back({roi.nodes[by_type[t][i]].id,
-                         static_cast<NodeType>(t),
-                         alpha.at(static_cast<int64_t>(i), 0)});
-    }
-  }
+  AggregateNode(roi, 0, focal, &records);
   return records;
 }
 

@@ -79,8 +79,8 @@ class SlotEmbeddings {
 
  private:
   int dim_ = 0;
-  // tables_[type][slot]
-  std::array<std::vector<tensor::Embedding>, graph::kNumNodeTypes> tables_;
+  // tables_[type][slot]: (vocab x dim) trainable embedding tables
+  std::array<std::vector<tensor::Tensor>, graph::kNumNodeTypes> tables_;
 };
 
 /// Edge-attention weight attached to one ROI child (for interpretability).
@@ -123,7 +123,10 @@ class ZoomerModel : public ScoringModel {
   float logit_scale() const { return logit_scale_.item(); }
 
   /// Edge-level attention weights over the 1-hop ROI children of `ego`
-  /// under focal {user, query}: the coupling coefficients of Fig. 13.
+  /// under focal {user, query}: the coupling coefficients of Fig. 13. They
+  /// are the weights the ego's aggregation applies to its children's
+  /// aggregated embeddings (uniform 1/k per type when edge attention is
+  /// off), grouped by type in child order.
   std::vector<EdgeAttentionRecord> ExplainEdgeWeights(graph::NodeId ego,
                                                       graph::NodeId user,
                                                       graph::NodeId query,
@@ -149,9 +152,12 @@ class ZoomerModel : public ScoringModel {
   tensor::Tensor FeatureLevelEmbedding(graph::NodeId node,
                                        const tensor::Tensor& focal) const;
 
-  /// Recursive multi-level attention over the ROI tree (eq. 8-11).
-  tensor::Tensor AggregateNode(const RoiSubgraph& roi, int index,
-                               const tensor::Tensor& focal) const;
+  /// Recursive multi-level attention over the ROI tree (eq. 8-11). If
+  /// `edge_weights` is set, appends the weight applied to each child of
+  /// node `index`.
+  tensor::Tensor AggregateNode(
+      const RoiSubgraph& roi, int index, const tensor::Tensor& focal,
+      std::vector<EdgeAttentionRecord>* edge_weights) const;
 
   /// Within-type edge attention returning the (k x 1) weight column.
   tensor::Tensor EdgeAttentionWeights(const tensor::Tensor& ego_z,

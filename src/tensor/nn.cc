@@ -19,7 +19,7 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng* rng)
       bias_(Tensor::Zeros(1, out_dim, /*requires_grad=*/true)) {}
 
 Tensor Linear::Forward(const Tensor& x) const {
-  return Add(MatMul(x, weight_), bias_);
+  return Affine(x, weight_, bias_);
 }
 
 Mlp::Mlp(const std::vector<int64_t>& dims, Rng* rng, Activation hidden_act,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <span>
 #include <type_traits>
 
 namespace zoomer {
@@ -106,16 +107,20 @@ constexpr size_t RoundUp16(size_t n) { return (n + 15) & ~size_t{15}; }
 
 enum class Fill { kZero, kNone };  // kNone: the caller writes every element
 
-// Makes one node with its data, its zeroed gradient (if requires_grad) and
-// `aux_bytes` of op-saved values in a single pooled block.
+// Makes one node with its data, its zeroed gradient (if requires_grad),
+// room for the pointers to parents 2.. of `num_parents` (0 and 1 are
+// inline) and `aux_bytes` of op-saved values in a single pooled block.
 TensorImpl* MakeImpl(int64_t rows, int64_t cols, bool requires_grad,
-                     Fill fill = Fill::kNone, size_t aux_bytes = 0) {
+                     Fill fill = Fill::kNone, size_t aux_bytes = 0,
+                     size_t num_parents = 0) {
   ZCHECK(rows > 0 && cols > 0) << "invalid shape " << rows << "x" << cols;
   const size_t n = static_cast<size_t>(rows * cols);
   const size_t header = RoundUp16(sizeof(TensorImpl));
   const size_t floats = RoundUp16(n * sizeof(float));
-  const size_t bytes =
-      header + floats + (requires_grad ? floats : 0) + aux_bytes;
+  const size_t more_at = header + floats + (requires_grad ? floats : 0);
+  const size_t more_bytes =
+      num_parents > 2 ? (num_parents - 2) * sizeof(TensorImpl*) : 0;
+  const size_t bytes = more_at + more_bytes + aux_bytes;
   char* block = static_cast<char*>(PoolAlloc(bytes));
   auto* impl = new (block) TensorImpl;
   impl->rows = rows;
@@ -128,9 +133,10 @@ TensorImpl* MakeImpl(int64_t rows, int64_t cols, bool requires_grad,
     impl->grad = reinterpret_cast<float*>(block + header + floats);
     std::fill(impl->grad, impl->grad + n, 0.0f);
   }
-  if (aux_bytes > 0) {
-    impl->aux = block + header + floats + (requires_grad ? floats : 0);
+  if (more_bytes > 0) {
+    impl->more_parents = reinterpret_cast<TensorImpl**>(block + more_at);
   }
+  if (aux_bytes > 0) impl->aux = block + more_at + more_bytes;
   AllocationTracker::Record(rows * cols);
   return impl;
 }
@@ -141,15 +147,21 @@ void FreeImpl(TensorImpl* impl) {
   PoolFree(impl, bytes);
 }
 
-// Records `a` (and `b`) as owned parents of `out`.
-void Link(TensorImpl* out, const Tensor& a) {
-  out->parents[0] = a.impl();
-  a.impl()->refs.fetch_add(1, std::memory_order_relaxed);
+// Records `t` as the next owned parent of `out`, which was made with room
+// for it.
+void AddParent(TensorImpl* out, const Tensor& t) {
+  const uint32_t i = out->num_parents++;
+  TensorImpl* p = t.impl();
+  p->refs.fetch_add(1, std::memory_order_relaxed);
+  (i < 2 ? out->parents[i] : out->more_parents[i - 2]) = p;
 }
+void Link(TensorImpl* out, const Tensor& a) { AddParent(out, a); }
 void Link(TensorImpl* out, const Tensor& a, const Tensor& b) {
-  Link(out, a);
-  out->parents[1] = b.impl();
-  b.impl()->refs.fetch_add(1, std::memory_order_relaxed);
+  AddParent(out, a);
+  AddParent(out, b);
+}
+void Link(TensorImpl* out, std::span<const Tensor> inputs) {
+  for (const Tensor& t : inputs) AddParent(out, t);
 }
 
 // Stores the backward closure `f` (trivially copyable: sizes, flags and
@@ -189,8 +201,9 @@ int64_t ThreadCachedBytes() {
 void ReleaseGraph(TensorImpl* impl) {
   TensorImpl* dead = nullptr;  // unreferenced impls still to free
   for (;;) {
-    for (TensorImpl* parent : impl->parents) {
-      if (parent != nullptr && detail::Unref(parent)) {
+    for (uint32_t i = 0; i < impl->num_parents; ++i) {
+      TensorImpl* parent = impl->parent(i);
+      if (detail::Unref(parent)) {
         parent->next_dead = dead;
         dead = parent;
       }
@@ -269,19 +282,19 @@ void Tensor::Backward() {
   // Postorder DFS over the interior nodes (leaves propagate nothing) to get
   // reverse topological order.
   thread_local std::vector<TensorImpl*> order;
-  thread_local std::vector<std::pair<TensorImpl*, int>> stack;
+  thread_local std::vector<std::pair<TensorImpl*, uint32_t>> stack;
   order.clear();
   stack.clear();
-  if (impl_->parents[0] != nullptr) {
+  if (impl_->num_parents > 0) {
     impl_->mark = mark;
     stack.emplace_back(impl_, 0);
   }
   while (!stack.empty()) {
     auto& [node, child_idx] = stack.back();
-    if (child_idx < 2 && node->parents[child_idx] != nullptr) {
-      TensorImpl* parent = node->parents[child_idx];
+    if (child_idx < node->num_parents) {
+      TensorImpl* parent = node->parent(child_idx);
       ++child_idx;
-      if (parent->parents[0] != nullptr && parent->mark != mark) {
+      if (parent->num_parents > 0 && parent->mark != mark) {
         parent->mark = mark;
         stack.emplace_back(parent, 0);
       }
@@ -309,14 +322,11 @@ void Tensor::Backward() {
 // Operators
 // ---------------------------------------------------------------------------
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  ZCHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch " << a.ShapeString()
-                                << " x " << b.ShapeString();
-  const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  auto out = MakeImpl(n, m, AnyRequiresGrad(a, b), Fill::kZero);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data;
+namespace {
+
+// od (n x m, zeroed) += a (n x k) · b (k x m), skipping zero entries of a.
+void MatMulInto(const float* ad, const float* bd, float* od, int64_t n,
+                int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       const float av = ad[i * k + p];
@@ -326,37 +336,159 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
     }
   }
+}
+
+// Adds the gradients of C = A · B, given dC = g, into A and B.
+void MatMulBackward(TensorImpl* ai, TensorImpl* bi, const float* g,
+                    int64_t n, int64_t k, int64_t m) {
+  if (ai->requires_grad) {
+    // dA = G · B^T : (n,m)x(m,k)
+    const float* bd2 = bi->data;
+    float* ga = ai->grad;
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t p = 0; p < k; ++p) {
+        float s = 0.0f;
+        const float* grow = g + i * m;
+        const float* brow = bd2 + p * m;
+        for (int64_t j = 0; j < m; ++j) s += grow[j] * brow[j];
+        ga[i * k + p] += s;
+      }
+    }
+  }
+  if (bi->requires_grad) {
+    // dB = A^T · G : (k,n)x(n,m)
+    const float* ad2 = ai->data;
+    float* gb = bi->grad;
+    for (int64_t i = 0; i < n; ++i) {
+      const float* grow = g + i * m;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = ad2[i * k + p];
+        if (av == 0.0f) continue;
+        float* gbrow = gb + p * m;
+        for (int64_t j = 0; j < m; ++j) gbrow[j] += av * grow[j];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  ZCHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch " << a.ShapeString()
+                                << " x " << b.ShapeString();
+  const int64_t n = a.rows(), k = a.cols(), m = b.cols();
+  auto out = MakeImpl(n, m, AnyRequiresGrad(a, b), Fill::kZero);
+  MatMulInto(a.data(), b.data(), out->data, n, k, m);
   if (out->requires_grad) {
     Link(out, a, b);
     SetBackward(out, [n, k, m](TensorImpl& self) {
-      TensorImpl* ai = self.parents[0];
-      TensorImpl* bi = self.parents[1];
+      MatMulBackward(self.parents[0], self.parents[1], self.grad, n, k, m);
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b) {
+  ZCHECK(x.cols() == w.rows() && b.rows() == 1 && b.cols() == w.cols())
+      << "Affine shape mismatch " << x.ShapeString() << " x "
+      << w.ShapeString() << " + " << b.ShapeString();
+  const int64_t n = x.rows(), k = x.cols(), m = w.cols();
+  const bool requires_grad = AnyRequiresGrad(x, w) || b.requires_grad();
+  auto out =
+      MakeImpl(n, m, requires_grad, Fill::kZero, 0, requires_grad ? 3 : 0);
+  float* od = out->data;
+  MatMulInto(x.data(), w.data(), od, n, k, m);
+  const float* bd = b.data();
+  for (int64_t i = 0; i < n; ++i)
+    for (int64_t j = 0; j < m; ++j) od[i * m + j] = od[i * m + j] + bd[j];
+  if (out->requires_grad) {
+    Link(out, x, w);
+    AddParent(out, b);
+    // The bias first: in the chain the sum node fed it before the product
+    // node below it propagated.
+    SetBackward(out, [n, k, m](TensorImpl& self) {
+      TensorImpl* bi = self.parent(2);
       const float* g = self.grad;
-      if (ai->requires_grad) {
-        // dA = G · B^T : (n,m)x(m,k)
-        const float* bd2 = bi->data;
-        float* ga = ai->grad;
-        for (int64_t i = 0; i < n; ++i) {
-          for (int64_t p = 0; p < k; ++p) {
-            float s = 0.0f;
-            const float* grow = g + i * m;
-            const float* brow = bd2 + p * m;
-            for (int64_t j = 0; j < m; ++j) s += grow[j] * brow[j];
-            ga[i * k + p] += s;
+      if (bi->requires_grad) {
+        for (int64_t i = 0; i < n; ++i)
+          for (int64_t j = 0; j < m; ++j) bi->grad[j] += g[i * m + j];
+      }
+      MatMulBackward(self.parents[0], self.parents[1], g, n, k, m);
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor ConcatMatVec(std::span<const Tensor> parts, const Tensor& v) {
+  ZCHECK(!parts.empty());
+  int64_t k = 1, width = 0;
+  bool requires_grad = v.requires_grad();
+  for (const Tensor& p : parts) {
+    k = std::max(k, p.rows());
+    width += p.cols();
+    requires_grad = requires_grad || p.requires_grad();
+  }
+  ZCHECK(v.rows() == width && v.cols() == 1)
+      << "ConcatMatVec: " << width << " concatenated columns vs "
+      << v.ShapeString();
+  for (const Tensor& p : parts) {
+    ZCHECK(p.rows() == 1 || p.rows() == k)
+        << "ConcatMatVec part " << p.ShapeString() << " in " << k << " rows";
+  }
+  auto out = MakeImpl(k, 1, requires_grad, Fill::kZero, 0,
+                      requires_grad ? parts.size() + 1 : 0);
+  const float* vd = v.data();
+  for (int64_t i = 0; i < k; ++i) {
+    int64_t off = 0;
+    for (const Tensor& p : parts) {
+      const int64_t c = p.cols();
+      const float* prow = p.data() + (p.rows() == 1 ? 0 : i * c);
+      for (int64_t j = 0; j < c; ++j) {
+        const float av = prow[j];
+        if (av == 0.0f) continue;
+        out->data[i] += av * vd[off + j];
+      }
+      off += c;
+    }
+  }
+  if (out->requires_grad) {
+    Link(out, parts);
+    AddParent(out, v);
+    // v first, then the parts from the last to the first: the order in
+    // which the chain's product, concatenation and tiling nodes propagate.
+    SetBackward(out, [k, width](TensorImpl& self) {
+      const uint32_t num_parts = self.num_parents - 1;
+      TensorImpl* vi = self.parent(num_parts);
+      const float* g = self.grad;
+      if (vi->requires_grad) {
+        for (int64_t i = 0; i < k; ++i) {
+          int64_t off = 0;
+          for (uint32_t q = 0; q < num_parts; ++q) {
+            const TensorImpl* pi = self.parent(q);
+            const float* prow = pi->data + (pi->rows == 1 ? 0 : i * pi->cols);
+            for (int64_t j = 0; j < pi->cols; ++j) {
+              const float av = prow[j];
+              if (av == 0.0f) continue;
+              vi->grad[off + j] += av * g[i];
+            }
+            off += pi->cols;
           }
         }
       }
-      if (bi->requires_grad) {
-        // dB = A^T · G : (k,n)x(n,m)
-        const float* ad2 = ai->data;
-        float* gb = bi->grad;
-        for (int64_t i = 0; i < n; ++i) {
-          const float* grow = g + i * m;
-          for (int64_t p = 0; p < k; ++p) {
-            const float av = ad2[i * k + p];
-            if (av == 0.0f) continue;
-            float* gbrow = gb + p * m;
-            for (int64_t j = 0; j < m; ++j) gbrow[j] += av * grow[j];
+      int64_t off = width;
+      for (uint32_t q = num_parts; q-- > 0;) {
+        TensorImpl* pi = self.parent(q);
+        const int64_t c = pi->cols;
+        off -= c;
+        if (!pi->requires_grad) continue;
+        // Each product is rounded before it is added (s starts at zero),
+        // as the chain's product node stored it in its input's gradient.
+        for (int64_t i = 0; i < k; ++i) {
+          float* prow = pi->grad + (pi->rows == 1 ? 0 : i * c);
+          for (int64_t j = 0; j < c; ++j) {
+            float s = 0.0f;
+            s += g[i] * vi->data[off + j];
+            prow[j] += s;
           }
         }
       }
@@ -567,22 +699,27 @@ Tensor Log(const Tensor& a, float eps) {
                           [eps](float /*y*/, float x) { return 1.0f / (x + eps); });
 }
 
+namespace {
+
+// Numerically stable softmax of one row of m entries.
+void SoftmaxRow(const float* row, float* orow, int64_t m) {
+  float mx = row[0];
+  for (int64_t j = 1; j < m; ++j) mx = std::max(mx, row[j]);
+  float sum = 0.0f;
+  for (int64_t j = 0; j < m; ++j) {
+    orow[j] = std::exp(row[j] - mx);
+    sum += orow[j];
+  }
+  for (int64_t j = 0; j < m; ++j) orow[j] /= sum;
+}
+
+}  // namespace
+
 Tensor SoftmaxRows(const Tensor& a) {
   auto out = MakeImpl(a.rows(), a.cols(), a.requires_grad());
   const int64_t n = a.rows(), m = a.cols();
-  const float* ad = a.data();
-  float* od = out->data;
   for (int64_t i = 0; i < n; ++i) {
-    const float* row = ad + i * m;
-    float* orow = od + i * m;
-    float mx = row[0];
-    for (int64_t j = 1; j < m; ++j) mx = std::max(mx, row[j]);
-    float sum = 0.0f;
-    for (int64_t j = 0; j < m; ++j) {
-      orow[j] = std::exp(row[j] - mx);
-      sum += orow[j];
-    }
-    for (int64_t j = 0; j < m; ++j) orow[j] /= sum;
+    SoftmaxRow(a.data() + i * m, out->data + i * m, m);
   }
   if (out->requires_grad) {
     Link(out, a);
@@ -598,6 +735,29 @@ Tensor SoftmaxRows(const Tensor& a) {
           ga[i * m + j] += y[i * m + j] * (g[i * m + j] - dot);
         }
       }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SoftmaxColumn(const Tensor& col) {
+  ZCHECK_EQ(col.cols(), 1) << "SoftmaxColumn of " << col.ShapeString();
+  const int64_t k = col.rows();
+  // Backward rounds its per-entry terms into the block before adding them,
+  // as the transposed chain's middle node did in its own gradient.
+  auto out = MakeImpl(k, 1, col.requires_grad(), Fill::kNone,
+                      col.requires_grad() ? k * sizeof(float) : 0);
+  SoftmaxRow(col.data(), out->data, k);
+  if (out->requires_grad) {
+    Link(out, col);
+    SetBackward(out, [k](TensorImpl& self) {
+      const float* y = self.data;
+      const float* g = self.grad;
+      float* terms = static_cast<float*>(self.aux);
+      float dot = 0.0f;
+      for (int64_t j = 0; j < k; ++j) dot += g[j] * y[j];
+      for (int64_t j = 0; j < k; ++j) terms[j] = y[j] * (g[j] - dot);
+      Accumulate(self.parents[0], terms, k);
     });
   }
   return Tensor(out);
@@ -670,6 +830,83 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
   return Tensor(out);
 }
 
+Tensor StackRows(std::span<const Tensor> rows) {
+  ZCHECK(!rows.empty());
+  if (rows.size() == 1) return rows[0];
+  const int64_t m = rows[0].cols();
+  int64_t n = 0;
+  bool requires_grad = false;
+  for (const Tensor& r : rows) {
+    ZCHECK_EQ(r.cols(), m);
+    n += r.rows();
+    requires_grad = requires_grad || r.requires_grad();
+  }
+  auto out = MakeImpl(n, m, requires_grad, Fill::kNone, 0,
+                      requires_grad ? rows.size() : 0);
+  float* od = out->data;
+  for (const Tensor& r : rows) od = std::copy(r.data(), r.data() + r.size(), od);
+  if (out->requires_grad) {
+    Link(out, rows);
+    // The chain's ConcatRows nodes reach the rows from the last down to the
+    // third, then the first and the second: add in that order, which fixes
+    // the sums when one tensor fills several rows.
+    SetBackward(out, [](TensorImpl& self) {
+      const float* g = self.grad + self.size();
+      for (uint32_t i = self.num_parents; i-- > 2;) {
+        TensorImpl* ri = self.parent(i);
+        g -= ri->size();
+        if (ri->requires_grad) Accumulate(ri, g, ri->size());
+      }
+      TensorImpl* r0 = self.parents[0];
+      TensorImpl* r1 = self.parents[1];
+      if (r0->requires_grad) Accumulate(r0, self.grad, r0->size());
+      if (r1->requires_grad) Accumulate(r1, self.grad + r0->size(), r1->size());
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor GatherRows(std::span<const Tensor> tables,
+                  std::span<const int64_t> ids) {
+  ZCHECK(!tables.empty());
+  ZCHECK_EQ(tables.size(), ids.size());
+  const int64_t n = static_cast<int64_t>(tables.size());
+  const int64_t m = tables[0].cols();
+  bool requires_grad = false;
+  for (const Tensor& t : tables) {
+    requires_grad = requires_grad || t.requires_grad();
+  }
+  // Backward reads a copy of the row ids kept in the block.
+  auto out = MakeImpl(n, m, requires_grad, Fill::kNone,
+                      requires_grad ? n * sizeof(int64_t) : 0,
+                      requires_grad ? tables.size() : 0);
+  for (int64_t i = 0; i < n; ++i) {
+    const Tensor& t = tables[i];
+    ZCHECK_EQ(t.cols(), m);
+    ZCHECK(ids[i] >= 0 && ids[i] < t.rows())
+        << "row index " << ids[i] << " out of range " << t.rows();
+    std::copy(t.data() + ids[i] * m, t.data() + (ids[i] + 1) * m,
+              out->data + i * m);
+  }
+  if (out->requires_grad) {
+    std::copy(ids.begin(), ids.end(), static_cast<int64_t*>(out->aux));
+    Link(out, tables);
+    SetBackward(out, [m](TensorImpl& self) {
+      const int64_t* rows = static_cast<const int64_t*>(self.aux);
+      // Last row first, the order in which a stacked chain of one-row
+      // gathers propagates: it fixes the sums when a table repeats.
+      for (uint32_t i = self.num_parents; i-- > 0;) {
+        TensorImpl* ti = self.parent(i);
+        if (!ti->requires_grad) continue;
+        const float* g = self.grad + static_cast<int64_t>(i) * m;
+        float* ga = ti->grad + rows[i] * m;
+        for (int64_t j = 0; j < m; ++j) ga[j] += g[j];
+      }
+    });
+  }
+  return Tensor(out);
+}
+
 Tensor SumAll(const Tensor& a) {
   auto out = MakeImpl(1, 1, a.requires_grad());
   float s = 0.0f;
@@ -726,6 +963,128 @@ Tensor MeanRows(const Tensor& a) {
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
           ai->grad[i * m + j] += self.grad[j] * inv;
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor ColSum(const Tensor& a) {
+  const int64_t n = a.rows(), m = a.cols();
+  auto out = MakeImpl(1, m, a.requires_grad(), Fill::kZero);
+  for (int64_t p = 0; p < n; ++p) {
+    const float* arow = a.data() + p * m;
+    for (int64_t j = 0; j < m; ++j) out->data[j] += arow[j];
+  }
+  if (out->requires_grad) {
+    Link(out, a);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      for (int64_t p = 0; p < n; ++p) {
+        float* ga = ai->grad + p * m;
+        for (int64_t j = 0; j < m; ++j) ga[j] += self.grad[j];
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor WeightedSumRows(const Tensor& w, const Tensor& z) {
+  ZCHECK(w.cols() == 1 && w.rows() == z.rows())
+      << "WeightedSumRows shape mismatch " << w.ShapeString() << " vs "
+      << z.ShapeString();
+  const int64_t k = z.rows(), m = z.cols();
+  auto out = MakeImpl(1, m, AnyRequiresGrad(w, z), Fill::kZero);
+  const float* wd = w.data();
+  const float* zd = z.data();
+  float* od = out->data;
+  for (int64_t p = 0; p < k; ++p) {
+    const float av = wd[p];
+    if (av == 0.0f) continue;
+    const float* zrow = zd + p * m;
+    for (int64_t j = 0; j < m; ++j) od[j] += av * zrow[j];
+  }
+  if (out->requires_grad) {
+    Link(out, w, z);
+    // z's gradient first: in the chain the product node fed z directly and
+    // w only through the transpose after it.
+    SetBackward(out, [k, m](TensorImpl& self) {
+      TensorImpl* wi = self.parents[0];
+      TensorImpl* zi = self.parents[1];
+      const float* g = self.grad;
+      if (zi->requires_grad) {
+        for (int64_t p = 0; p < k; ++p) {
+          const float av = wi->data[p];
+          if (av == 0.0f) continue;
+          float* gz = zi->grad + p * m;
+          for (int64_t j = 0; j < m; ++j) gz[j] += av * g[j];
+        }
+      }
+      if (wi->requires_grad) {
+        for (int64_t p = 0; p < k; ++p) {
+          const float* zrow = zi->data + p * m;
+          float s = 0.0f;
+          for (int64_t j = 0; j < m; ++j) s += g[j] * zrow[j];
+          wi->grad[p] += s;
+        }
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor ScaledRowDots(const Tensor& h, const Tensor& q, float scale) {
+  ZCHECK(q.rows() == 1 && q.cols() == h.cols())
+      << "ScaledRowDots shape mismatch " << h.ShapeString() << " vs "
+      << q.ShapeString();
+  const int64_t n = h.rows(), d = h.cols();
+  const bool requires_grad = AnyRequiresGrad(h, q);
+  // Backward sums q's gradient in the block before adding it, as the
+  // transposed q's own gradient did in the chain.
+  auto out = MakeImpl(n, 1, requires_grad, Fill::kZero,
+                      requires_grad ? d * sizeof(float) : 0);
+  const float* hd = h.data();
+  const float* qd = q.data();
+  float* od = out->data;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t p = 0; p < d; ++p) {
+      const float av = hd[i * d + p];
+      if (av == 0.0f) continue;
+      od[i] += av * qd[p];
+    }
+  }
+  for (int64_t i = 0; i < n; ++i) od[i] = od[i] * scale;
+  if (out->requires_grad) {
+    Link(out, h, q);
+    SetBackward(out, [n, d, scale](TensorImpl& self) {
+      TensorImpl* hi = self.parents[0];
+      TensorImpl* qi = self.parents[1];
+      const float* g = self.grad;
+      // Each product is rounded before it is added (s starts at zero), as
+      // the chain's one-column product did.
+      if (hi->requires_grad) {
+        for (int64_t i = 0; i < n; ++i) {
+          const float gi = g[i] * scale;
+          float* gh = hi->grad + i * d;
+          for (int64_t p = 0; p < d; ++p) {
+            float s = 0.0f;
+            s += gi * qi->data[p];
+            gh[p] += s;
+          }
+        }
+      }
+      if (qi->requires_grad) {
+        float* gq = static_cast<float*>(self.aux);
+        std::fill(gq, gq + d, 0.0f);
+        for (int64_t i = 0; i < n; ++i) {
+          const float gi = g[i] * scale;
+          for (int64_t p = 0; p < d; ++p) {
+            const float av = hi->data[i * d + p];
+            if (av == 0.0f) continue;
+            gq[p] += av * gi;
+          }
+        }
+        Accumulate(qi, gq, d);
+      }
     });
   }
   return Tensor(out);

@@ -17,16 +17,35 @@
 //    back to the heap), so blocks may move between threads and no cache
 //    grows without bound. Under AddressSanitizer the pool is bypassed, so
 //    every block is a plain heap allocation and a use after free is reported.
-//  - Parents and closures. An impl holds at most two owned parent pointers
-//    inline (no op has more) and its backward as a plain function pointer
-//    plus the op's captured sizes and flags in an inline buffer; backward
-//    reads its inputs through the parent pointers.
+//  - Parents and closures. An impl owns one reference to each of its op's
+//    inputs, in argument order: `num_parents` of them, the first two inline
+//    and any further ones (n-ary ops such as StackRows) in the node's pooled
+//    block. Its backward is a plain function pointer plus the op's captured
+//    sizes and flags in an inline buffer; backward reads its inputs through
+//    the parent pointers.
 //  - Backward walk. Nodes propagate in reverse postorder of a DFS from the
-//    loss that visits each node's first parent before its second; this order
-//    fixes how every gradient sum is accumulated, so it is part of the
-//    numerical contract. Interior nodes are marked visited with a per-call
-//    stamp; leaves (no parents, nothing to propagate) never enter the order;
-//    the DFS stack and the order live in thread-local scratch.
+//    loss that visits each node's parents in index order; this order fixes
+//    how every gradient sum is accumulated, so it is part of the numerical
+//    contract.
+//  - Fused ops. StackRows, GatherRows, SoftmaxColumn, ScaledRowDots,
+//    ColSum, WeightedSumRows, Affine and ConcatMatVec each record one node
+//    in place of a chain of ops and give the same bits, forward and
+//    backward, as that chain. Three things make this hold:
+//     * parents in index order make the DFS discover the inputs in the
+//       order the chain did, so every other node keeps its place;
+//     * the chain's interior nodes only passed values through, and each
+//       fused backward adds into its inputs in the order the chain's nodes
+//       did (noted at each op). The chain reached an input only after the
+//       subgraphs of the inputs after it, so this needs that no input's
+//       gradient is also added to from inside a later input's subgraph,
+//       which holds for every use in the models;
+//     * each fused loop keeps the expression form of the loops it replaces:
+//       where the chain rounded a product into a buffer before adding it,
+//       the fused loop does too, so FMA contraction under -march=native
+//       rounds exactly as it did.
+//  - Visit marks. Interior nodes are marked visited with a per-call stamp;
+//    leaves (no parents, nothing to propagate) never enter the order; the
+//    DFS stack and the order live in thread-local scratch.
 //  - Teardown. When the last handle to a graph drops, impls whose count
 //    reaches zero are freed through a worklist, not by recursion, so a graph
 //    of any depth is released in constant stack.
@@ -37,6 +56,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,9 +98,12 @@ struct TensorImpl {
   float* data = nullptr;
   float* grad = nullptr;  // zeroed at creation iff requires_grad
   void* aux = nullptr;    // values the op saved for backward, in the block
-  // Owned references; parents[1] is null for unary ops, both for leaves.
+  // Owned references to the op's inputs in argument order: parents 0 and 1
+  // inline, parents 2.. at more_parents (in the block). Null past
+  // num_parents; a leaf has none.
   TensorImpl* parents[2] = {nullptr, nullptr};
-  BackwardFn backward = nullptr;  // set iff parents[0] is
+  TensorImpl** more_parents = nullptr;
+  BackwardFn backward = nullptr;  // set iff num_parents > 0
   alignas(8) unsigned char closure[24];  // the op's captured sizes and flags
   union {
     uint64_t mark = 0;       // stamp of the last Backward() that visited it
@@ -88,9 +111,13 @@ struct TensorImpl {
   };
   uint64_t block_bytes = 0;
   std::atomic<uint32_t> refs{1};
+  uint32_t num_parents = 0;
   bool requires_grad = false;
 
   int64_t size() const { return rows * cols; }
+  TensorImpl* parent(uint32_t i) const {
+    return i < 2 ? parents[i] : more_parents[i - 2];
+  }
 };
 
 /// Frees `impl`, whose last reference just dropped, and every ancestor only
@@ -225,6 +252,14 @@ class Tensor {
 
 /// C = A · B. A: (n,k), B: (k,m).
 Tensor MatMul(const Tensor& a, const Tensor& b);
+/// x · w + b for a (1 x m) bias row b; same bits as Add(MatMul(x, w), b).
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b);
+/// [p_0 | p_1 | ...] · v -> (k x 1), where k is the most rows of any part,
+/// each part is (k x d_i) or a (1 x d_i) row repeated on all k rows, and v
+/// is (sum d_i x 1); same bits as
+/// MatMul of the left-nested ConcatCols chain (TileRows(p, k) for the
+/// repeated rows) with v.
+Tensor ConcatMatVec(std::span<const Tensor> parts, const Tensor& v);
 /// Elementwise sum; b may also be (1,cols) for row broadcast or 1x1 scalar.
 Tensor Add(const Tensor& a, const Tensor& b);
 /// Elementwise difference (same shapes).
@@ -249,12 +284,24 @@ Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a, float eps = 1e-12f);
 /// Row-wise softmax.
 Tensor SoftmaxRows(const Tensor& a);
+/// Softmax over the entries of a (k x 1) column; same bits as
+/// Transpose(SoftmaxRows(Transpose(col))).
+Tensor SoftmaxColumn(const Tensor& col);
 /// Transpose.
 Tensor Transpose(const Tensor& a);
 /// Horizontal concatenation [a | b].
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// Vertical concatenation [a ; b].
 Tensor ConcatRows(const Tensor& a, const Tensor& b);
+/// Vertical concatenation of k >= 1 equal-width tensors as one node with k
+/// parents; same bits as the left-nested chain ConcatRows(ConcatRows(r0, r1),
+/// r2)... One row is returned as is.
+Tensor StackRows(std::span<const Tensor> rows);
+/// (n x d) matrix whose row i is row ids[i] of tables[i] (each k_i x d), as
+/// one node with n parents; same bits as StackRows of Rows(tables[i],
+/// {ids[i]}). Tables may repeat.
+Tensor GatherRows(std::span<const Tensor> tables,
+                  std::span<const int64_t> ids);
 /// Sum of all entries -> 1x1.
 Tensor SumAll(const Tensor& a);
 /// Mean of all entries -> 1x1.
@@ -263,6 +310,15 @@ Tensor MeanAll(const Tensor& a);
 Tensor SumRowsTo1(const Tensor& a);
 /// Column-wise mean over rows -> (1,cols).
 Tensor MeanRows(const Tensor& a);
+/// Column-wise sum over rows -> (1,cols); same bits as
+/// MatMul(Full(1, rows, 1), a).
+Tensor ColSum(const Tensor& a);
+/// wᵀ · z for a (k x 1) weight column w and z (k x m) -> (1 x m); same bits
+/// as MatMul(Transpose(w), z).
+Tensor WeightedSumRows(const Tensor& w, const Tensor& z);
+/// scale · h · qᵀ for h (n x d) and a row q (1 x d) -> (n x 1); same bits as
+/// Scale(MatMul(h, Transpose(q)), scale).
+Tensor ScaledRowDots(const Tensor& h, const Tensor& q, float scale);
 /// Gathers rows by index; gradient scatter-adds. idx values in [0, a.rows).
 Tensor Rows(const Tensor& a, const std::vector<int64_t>& idx);
 /// Row-wise dot product of equal-shaped a,b -> (rows,1).

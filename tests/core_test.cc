@@ -402,6 +402,60 @@ TEST(ZoomerModelTest, ExplainEdgeWeightsNormalizedPerType) {
   }
 }
 
+TEST(ZoomerModelTest, ExplainEdgeWeightsAreTheAppliedWeightsOverRootChildren) {
+  // In a 2-hop ROI the root attends over its children's aggregated
+  // embeddings. The records come from that aggregation pass: they cover
+  // exactly the root's sampled children, each type group sums to 1, and
+  // with edge attention off they are the uniform mean-pooling weights.
+  auto ds = TinyDataset();
+  ZoomerConfig cfg = TinyConfig();
+  ASSERT_EQ(cfg.sampler.num_hops, 2);
+  for (bool edge_attention : {true, false}) {
+    cfg.use_edge_attention = edge_attention;
+    ZoomerModel model(&ds.graph, cfg);
+    int second_hop_rois = 0;
+    for (uint64_t e = 0; e < 20; ++e) {
+      const auto& ex = ds.train[e];
+      Rng rng(70 + e);
+      Rng replay = rng;
+      const auto records =
+          model.ExplainEdgeWeights(ex.query, ex.user, ex.query, &rng);
+      const auto fc =
+          model.sampler().FocalVector(model.graph(), {ex.user, ex.query});
+      const RoiSubgraph roi =
+          model.sampler().Sample(model.graph(), ex.query, fc, &replay);
+      std::multiset<NodeId> children, recorded;
+      bool second_hop = false;
+      for (int c = roi.children_begin[0]; c < roi.children_end[0]; ++c) {
+        children.insert(roi.nodes[c].id);
+        second_hop |= roi.children_begin[c] < roi.children_end[c];
+      }
+      second_hop_rois += second_hop ? 1 : 0;
+      double sums[graph::kNumNodeTypes] = {0, 0, 0};
+      int counts[graph::kNumNodeTypes] = {0, 0, 0};
+      for (const auto& r : records) {
+        recorded.insert(r.neighbor);
+        EXPECT_EQ(r.type, model.graph().node_type(r.neighbor));
+        sums[static_cast<int>(r.type)] += r.weight;
+        counts[static_cast<int>(r.type)] += 1;
+      }
+      EXPECT_EQ(recorded, children) << "example " << e;
+      for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+        if (counts[t] > 0) {
+          EXPECT_NEAR(sums[t], 1.0, 1e-5);
+        }
+      }
+      if (!edge_attention) {
+        for (const auto& r : records) {
+          EXPECT_EQ(r.weight,
+                    1.0f / static_cast<float>(counts[static_cast<int>(r.type)]));
+        }
+      }
+    }
+    EXPECT_GT(second_hop_rois, 0) << "no sampled ROI reached the second hop";
+  }
+}
+
 TEST(ZoomerModelTest, DifferentFocalsGiveDifferentEmbeddings) {
   // The core ROI claim: one ego node, multiple focal-dependent embeddings.
   auto ds = TinyDataset();

@@ -220,6 +220,299 @@ TEST(TensorTest, MillionOpChainBackpropagatesAndTearsDown) {
   EXPECT_EQ(p.grad_at(0, 0), 1e6f);  // the leaf outlives its consumers
 }
 
+// --- Fused ops against the chains they replace -----------------------------
+//
+// Each fused op promises the same bits as the composed form it replaces,
+// forward and backward. These tests build both forms over identical leaves
+// (random shapes 1-40, about a quarter of the entries exactly zero so
+// MatMul's zero skip is taken, parameters shared by several consumers so
+// gradient sums have several terms) and compare every output and gradient
+// bit.
+
+std::vector<uint32_t> BitsOf(const float* p, int64_t n) {
+  std::vector<uint32_t> bits(static_cast<size_t>(n));
+  std::memcpy(bits.data(), p, static_cast<size_t>(n) * sizeof(float));
+  return bits;
+}
+
+// rows x cols standard-normal values, about a quarter of them exactly zero.
+// The others use the whole mantissa, so sums of a few of them round
+// differently in different orders.
+Tensor SparseRandom(int64_t rows, int64_t cols, Rng* rng,
+                    bool requires_grad) {
+  std::vector<float> v(static_cast<size_t>(rows * cols));
+  for (float& x : v) {
+    x = rng->UniformFloat() < 0.25f ? 0.0f : static_cast<float>(rng->Normal());
+  }
+  return Tensor::FromVector(v, rows, cols, requires_grad);
+}
+
+// The ConcatRows chain StackRows replaces.
+Tensor ChainStackRows(const std::vector<Tensor>& rows) {
+  Tensor out = rows[0];
+  for (size_t i = 1; i < rows.size(); ++i) out = ConcatRows(out, rows[i]);
+  return out;
+}
+
+using Graph = std::function<std::vector<Tensor>(
+    const std::vector<Tensor>& leaves, bool fused)>;
+
+// Builds `graph` twice over leaves made from the same seed, backpropagates
+// sum_i sum(outputs[i] ⊙ weights_i) through each, and expects the outputs
+// and every leaf gradient to agree bit for bit.
+void ExpectFusedMatchesChain(
+    uint64_t seed, const std::vector<std::pair<int64_t, int64_t>>& shapes,
+    const Graph& graph) {
+  std::vector<uint32_t> bits[2];
+  std::vector<uint32_t> grads[2];
+  for (int fused = 0; fused < 2; ++fused) {
+    Rng rng(seed);
+    std::vector<Tensor> leaves;
+    for (const auto& [r, c] : shapes) {
+      leaves.push_back(SparseRandom(r, c, &rng, /*requires_grad=*/true));
+    }
+    Tensor loss;
+    for (const Tensor& out : graph(leaves, fused == 1)) {
+      std::vector<uint32_t> b = BitsOf(out.data(), out.size());
+      bits[fused].insert(bits[fused].end(), b.begin(), b.end());
+      Tensor term =
+          SumAll(Mul(out, SparseRandom(out.rows(), out.cols(), &rng, false)));
+      loss = loss.defined() ? Add(loss, term) : term;
+    }
+    loss.Backward();
+    for (Tensor& leaf : leaves) {
+      std::vector<uint32_t> g = BitsOf(leaf.grad_data(), leaf.size());
+      grads[fused].insert(grads[fused].end(), g.begin(), g.end());
+    }
+  }
+  EXPECT_EQ(bits[0], bits[1]) << "forward values differ (seed " << seed << ")";
+  EXPECT_EQ(grads[0], grads[1]) << "gradients differ (seed " << seed << ")";
+}
+
+constexpr int kDiffTrials = 25;
+
+// A dimension in [1, 40].
+int64_t Dim(Rng* rng) { return 1 + static_cast<int64_t>(rng->Uniform(40)); }
+
+TEST(FusedOpTest, StackRowsMatchesConcatRowsChain) {
+  Rng rng(101);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t k = Dim(&rng), d = Dim(&rng), din = Dim(&rng);
+    std::vector<int64_t> heights(k);
+    for (auto& h : heights) h = 1 + static_cast<int64_t>(rng.Uniform(3));
+    // Leaves: a shared weight (din x d), a leaf row reused as the first,
+    // second and last row, then one input per row.
+    std::vector<std::pair<int64_t, int64_t>> shapes = {{din, d}, {1, d}};
+    for (int64_t h : heights) shapes.push_back({h, din});
+    ExpectFusedMatchesChain(1000 + trial, shapes,
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& w = in[0];
+      std::vector<Tensor> rows;
+      for (int64_t i = 0; i < k; ++i) {
+        rows.push_back(i == 0 ? in[1] : Tanh(MatMul(in[2 + i], w)));
+      }
+      if (k > 1) rows.back() = in[1];
+      if (k > 2) rows[1] = in[1];
+      Tensor stacked = fused ? StackRows(rows) : ChainStackRows(rows);
+      return std::vector<Tensor>{stacked, MatMul(in[2], w)};
+    });
+  }
+}
+
+TEST(FusedOpTest, GatherRowsMatchesStackedRowGathers) {
+  Rng rng(102);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t n = Dim(&rng), d = Dim(&rng);
+    const int num_tables = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<std::pair<int64_t, int64_t>> shapes;
+    for (int t = 0; t < num_tables; ++t) shapes.push_back({Dim(&rng), d});
+    // Slots pick tables and rows at random, so both repeat.
+    std::vector<int> table_of(n);
+    std::vector<int64_t> ids(n);
+    for (int64_t i = 0; i < n; ++i) {
+      table_of[i] = static_cast<int>(rng.Uniform(num_tables));
+      ids[i] = static_cast<int64_t>(rng.Uniform(shapes[table_of[i]].first));
+    }
+    ExpectFusedMatchesChain(2000 + trial, shapes,
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      std::vector<Tensor> tables;
+      for (int64_t i = 0; i < n; ++i) tables.push_back(in[table_of[i]]);
+      Tensor gathered;
+      if (fused) {
+        gathered = GatherRows(tables, ids);
+      } else {
+        std::vector<Tensor> rows;
+        for (int64_t i = 0; i < n; ++i) rows.push_back(Rows(tables[i], {ids[i]}));
+        gathered = ChainStackRows(rows);
+      }
+      return std::vector<Tensor>{gathered, Tanh(in[0])};
+    });
+  }
+}
+
+TEST(FusedOpTest, SoftmaxColumnMatchesTransposedSoftmaxRows) {
+  Rng rng(103);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t k = Dim(&rng), d = Dim(&rng);
+    ExpectFusedMatchesChain(3000 + trial, {{k, d}, {d, 1}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& a = in[1];  // shared by the scores and the second output
+      Tensor col = MatMul(in[0], a);
+      Tensor soft = fused ? SoftmaxColumn(col)
+                          : Transpose(SoftmaxRows(Transpose(col)));
+      // The last output propagates first, so col's gradient is already
+      // nonzero when the softmax adds to it.
+      return std::vector<Tensor>{soft, Mul(a, Tanh(a)), Tanh(col)};
+    });
+  }
+}
+
+TEST(FusedOpTest, ScaledRowDotsMatchesScaledMatMulByTranspose) {
+  Rng rng(104);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t n = Dim(&rng), d = Dim(&rng);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    // Two row blocks scored against one query, which is also tiled into a
+    // third output, and the query scored against itself.
+    ExpectFusedMatchesChain(4000 + trial, {{n, d}, {1, d}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& h = in[0];
+      const Tensor& q = in[1];
+      auto score = [&](const Tensor& a, const Tensor& b) {
+        return fused ? ScaledRowDots(a, b, scale)
+                     : Scale(MatMul(a, Transpose(b)), scale);
+      };
+      return std::vector<Tensor>{score(h, q), score(Tanh(h), q),
+                                 Mul(h, TileRows(q, n)), score(q, q)};
+    });
+  }
+}
+
+TEST(FusedOpTest, ColSumMatchesMatMulByOnes) {
+  Rng rng(105);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t n = Dim(&rng), d = Dim(&rng);
+    ExpectFusedMatchesChain(5000 + trial, {{n, d}, {n, 1}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      Tensor weighted = Mul(in[0], in[1]);
+      Tensor sum = fused ? ColSum(weighted)
+                         : MatMul(Tensor::Full(1, n, 1.0f), weighted);
+      return std::vector<Tensor>{sum, Tanh(in[1])};
+    });
+  }
+}
+
+TEST(FusedOpTest, WeightedSumRowsMatchesMatMulByTransposedWeights) {
+  Rng rng(106);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t k = Dim(&rng), d = Dim(&rng);
+    // Attention-style: the weights are computed from the values (Relu makes
+    // some of them exactly zero), and the values feed a second output.
+    ExpectFusedMatchesChain(6000 + trial, {{k, d}, {d, 1}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& z = in[0];
+      Tensor w = Relu(MatMul(z, in[1]));
+      Tensor pooled = fused ? WeightedSumRows(w, z) : MatMul(Transpose(w), z);
+      return std::vector<Tensor>{pooled, Tanh(z), w};
+    });
+  }
+}
+
+TEST(FusedOpTest, AffineMatchesMatMulPlusBias) {
+  Rng rng(108);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t n = Dim(&rng), k = Dim(&rng), m = Dim(&rng);
+    // One weight and bias applied to two inputs, the second derived from
+    // the first layer's output when the shapes allow.
+    ExpectFusedMatchesChain(7000 + trial, {{n, k}, {k, m}, {1, m}, {1, k}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& w = in[1];
+      const Tensor& b = in[2];
+      auto affine = [&](const Tensor& x) {
+        return fused ? Affine(x, w, b) : Add(MatMul(x, w), b);
+      };
+      Tensor y = affine(in[0]);
+      Tensor y2 = affine(k == m ? Tanh(y) : in[3]);
+      return std::vector<Tensor>{y, y2, Mul(b, b)};
+    });
+  }
+}
+
+TEST(FusedOpTest, ConcatMatVecMatchesMatMulOfTiledConcat) {
+  Rng rng(109);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t k = Dim(&rng);
+    const int num_parts = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<std::pair<int64_t, int64_t>> shapes;
+    int64_t width = 0;
+    const int full_part = static_cast<int>(rng.Uniform(num_parts));
+    for (int q = 0; q < num_parts; ++q) {
+      // A one-row part is repeated on all k rows; one part sets k.
+      const int64_t rows = q == full_part || rng.Uniform(2) == 0 ? k : 1;
+      shapes.push_back({rows, Dim(&rng)});
+      width += shapes.back().second;
+    }
+    shapes.push_back({width, 1});
+    // Edge-attention style: the scores of every part are also used
+    // elsewhere, and v is shared with a second output.
+    ExpectFusedMatchesChain(8000 + trial, shapes,
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const std::vector<Tensor> parts(in.begin(), in.end() - 1);
+      const Tensor& v = in.back();
+      Tensor scores;
+      if (fused) {
+        scores = ConcatMatVec(parts, v);
+      } else {
+        Tensor cat;
+        for (const Tensor& p : parts) {
+          Tensor full = p.rows() == k ? p : TileRows(p, k);
+          cat = cat.defined() ? ConcatCols(cat, full) : full;
+        }
+        scores = MatMul(cat, v);
+      }
+      std::vector<Tensor> outs = {LeakyRelu(scores, 0.2f), Tanh(v)};
+      for (const Tensor& p : parts) outs.push_back(Tanh(p));
+      return outs;
+    });
+  }
+}
+
+TEST(FusedOpTest, StackRowsAllocatesOnlyItsOutput) {
+  // One node holds the k x d result; the chain it replaces copied the
+  // growing prefix once per row (O(k^2 d) floats).
+  Rng rng(107);
+  for (int64_t k : {2, 10, 40}) {
+    const int64_t d = 16;
+    std::vector<Tensor> rows;
+    for (int64_t i = 0; i < k; ++i) {
+      rows.push_back(Tensor::Randn(1, d, &rng, 1.0f, /*requires_grad=*/true));
+    }
+    AllocationTracker::Reset();
+    Tensor stacked = StackRows(rows);
+    EXPECT_EQ(AllocationTracker::allocated_floats(), k * d);
+    EXPECT_EQ(stacked.rows(), k);
+  }
+}
+
+TEST(FusedOpTest, StackRowsOverManyParentsBackpropagatesAndFrees) {
+  // 100,000 parents: all but two live in the node's block, and the walk,
+  // the backward and the teardown visit every one.
+  constexpr int kRows = 100000;
+  Tensor p = Tensor::FromVector({1.0f, -2.0f}, 1, 2, /*requires_grad=*/true);
+  {
+    std::vector<Tensor> rows;
+    rows.reserve(kRows);
+    for (int i = 0; i < kRows; ++i) rows.push_back(Scale(p, 1.0f));
+    Tensor stacked = StackRows(rows);
+    rows.clear();  // the stack now owns the only references to its rows
+    EXPECT_EQ(stacked.rows(), kRows);
+    EXPECT_EQ(stacked.impl()->num_parents, static_cast<uint32_t>(kRows));
+    SumAll(stacked).Backward();
+  }
+  EXPECT_EQ(p.grad_at(0, 0), static_cast<float>(kRows));
+  EXPECT_EQ(p.grad_at(0, 1), static_cast<float>(kRows));
+}
+
 // --- Parameterized gradient checks over all differentiable ops -------------
 
 struct OpCase {
@@ -281,6 +574,65 @@ INSTANTIATE_TEST_SUITE_P(
                [](const Tensor& x) { return RowwiseCosine(x, FixedMat(3, 4, 12)); }},
         OpCase{"NormalizeRows", [](const Tensor& x) { return NormalizeRows(x); }},
         OpCase{"TileRows", [](const Tensor& x) { return TileRows(x, 5); }, 1, 4},
+        OpCase{"StackRows",
+               [](const Tensor& x) {
+                 return StackRows(std::vector<Tensor>{FixedMat(2, 4, 13), x,
+                                                      FixedMat(1, 4, 14), x});
+               }},
+        OpCase{"GatherRows",
+               [](const Tensor& x) {
+                 const std::vector<int64_t> ids = {2, 0, 1, 2};
+                 return GatherRows(
+                     std::vector<Tensor>{x, FixedMat(2, 4, 15), x, x}, ids);
+               }},
+        OpCase{"SoftmaxColumn", [](const Tensor& x) { return SoftmaxColumn(x); },
+               5, 1},
+        OpCase{"ColSum", [](const Tensor& x) { return ColSum(x); }},
+        OpCase{"WeightedSumRowsWeights",
+               [](const Tensor& x) { return WeightedSumRows(x, FixedMat(3, 4, 16)); },
+               3, 1},
+        OpCase{"WeightedSumRowsValues",
+               [](const Tensor& x) { return WeightedSumRows(FixedMat(3, 1, 17), x); }},
+        OpCase{"AffineInput",
+               [](const Tensor& x) {
+                 return Affine(x, FixedMat(4, 5, 20), FixedMat(1, 5, 21));
+               }},
+        OpCase{"AffineWeight",
+               [](const Tensor& x) {
+                 return Affine(FixedMat(2, 3, 22), x, FixedMat(1, 4, 23));
+               }},
+        OpCase{"AffineBias",
+               [](const Tensor& x) {
+                 return Affine(FixedMat(3, 2, 24), FixedMat(2, 4, 25), x);
+               },
+               1, 4},
+        OpCase{"ConcatMatVecRows",
+               [](const Tensor& x) {
+                 return ConcatMatVec(
+                     std::vector<Tensor>{FixedMat(1, 2, 26), x, FixedMat(3, 3, 27)},
+                     FixedMat(9, 1, 28));
+               }},
+        OpCase{"ConcatMatVecTiledRow",
+               [](const Tensor& x) {
+                 return ConcatMatVec(std::vector<Tensor>{x, FixedMat(3, 2, 29)},
+                                     FixedMat(6, 1, 30));
+               },
+               1, 4},
+        OpCase{"ConcatMatVecVector",
+               [](const Tensor& x) {
+                 return ConcatMatVec(
+                     std::vector<Tensor>{FixedMat(1, 2, 31), FixedMat(3, 2, 32)}, x);
+               },
+               4, 1},
+        OpCase{"ScaledRowDotsRows",
+               [](const Tensor& x) {
+                 return ScaledRowDots(x, FixedMat(1, 4, 18), 0.7f);
+               }},
+        OpCase{"ScaledRowDotsQuery",
+               [](const Tensor& x) {
+                 return ScaledRowDots(FixedMat(5, 4, 19), x, 0.7f);
+               },
+               1, 4},
         OpCase{"SquaredNorm", [](const Tensor& x) { return SquaredNorm(x); }},
         OpCase{"BceWithLogits",
                [](const Tensor& x) {
