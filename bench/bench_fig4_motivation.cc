@@ -55,7 +55,10 @@ void Fig4a(const data::RetrievalDataset& ds) {
     // Tensor floats allocated per iteration. Neighbor stacks and slot
     // gathers are single nodes, so this counts each stacked (k x d) matrix
     // once; it no longer includes the O(k^2 d) prefix copies a chain of
-    // two-way row concatenations made.
+    // two-way row concatenations made. The model attends one depth level
+    // of the ROI at a time, so the figure counts each level's gathered
+    // rows and segment outputs rather than one small chain per ROI node,
+    // and reads lower than it did for the per-node model.
     const double mb_per_iter =
         tensor::AllocationTracker::allocated_bytes() / double(iters) / 1e6;
     std::printf("%10d %14.1f %18.3f\n", k, iters / secs, mb_per_iter);

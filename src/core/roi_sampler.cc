@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "common/stamped_table.h"
 #include "obs/metrics.h"
 
 namespace zoomer {
@@ -16,19 +17,22 @@ using graph::NeighborBlock;
 using graph::NeighborScratch;
 using graph::NodeId;
 
-namespace {
+// Per-thread buffers of SampleBatch, reused from call to call.
+struct RoiSampler::Scratch {
+  StampedTable<double> relevance;  // by node id, one generation per call
+  NeighborScratch neighbors;
+  std::vector<std::pair<double, int64_t>> scored;  // SelectChildren
+  std::vector<RoiNode> children;                   // one frontier node's
 
-double ScoreMemoized(const RelevanceScorer& scorer, const GraphView& g,
-                     const std::vector<float>& fc, NodeId candidate,
-                     std::unordered_map<NodeId, double>* memo) {
-  const auto it = memo->find(candidate);
-  if (it != memo->end()) return it->second;
-  const double s = scorer.ScoreNode(g, fc, candidate);
-  memo->emplace(candidate, s);
-  return s;
-}
-
-}  // namespace
+  /// Relevance of `candidate` to fc, scored at most once per call
+  /// (ScoreNode is pure in (fc, node)).
+  double Score(const RelevanceScorer& scorer, const GraphView& g,
+               const std::vector<float>& fc, NodeId candidate) {
+    const size_t v = static_cast<size_t>(candidate);
+    if (const double* s = relevance.Find(v)) return *s;
+    return relevance.Set(v, scorer.ScoreNode(g, fc, candidate));
+  }
+};
 
 RoiSampler::RoiSampler(RoiSamplerOptions options)
     : options_(options), scorer_(MakeRelevanceScorer(options.relevance)) {
@@ -54,13 +58,12 @@ double RoiSampler::Relevance(const GraphView& g, const std::vector<float>& fc,
 
 void RoiSampler::SelectChildren(const GraphView& g, NodeId node,
                                 NodeId parent, const std::vector<float>& fc,
-                                int hop, Rng* rng, NeighborScratch* scratch,
-                                std::unordered_map<NodeId, double>* memo,
+                                int hop, Rng* rng, Scratch* scratch,
                                 std::vector<RoiNode>* out) const {
   const int k_at_hop = std::max(
       1, static_cast<int>(options_.k *
                           std::pow(options_.hop_k_decay, hop - 1)));
-  const NeighborBlock nb = g.Neighbors(node, scratch);
+  const NeighborBlock nb = g.Neighbors(node, &scratch->neighbors);
   const int64_t deg = nb.size();
   if (deg == 0) return;
 
@@ -77,12 +80,11 @@ void RoiSampler::SelectChildren(const GraphView& g, NodeId node,
     case SamplerKind::kFocalTopK: {
       // Score every neighbor against the focal vector (paper eq. 5) and keep
       // the top-k. partial_sort keeps this O(deg log k).
-      std::vector<std::pair<double, int64_t>> scored;
-      scored.reserve(deg);
+      auto& scored = scratch->scored;
+      scored.clear();
       for (int64_t p = 0; p < deg; ++p) {
         if (options_.exclude_parent && nb.ids[p] == parent) continue;
-        scored.emplace_back(ScoreMemoized(*scorer_, g, fc, nb.ids[p], memo),
-                            p);
+        scored.emplace_back(scratch->Score(*scorer_, g, fc, nb.ids[p]), p);
       }
       const int take = std::min<int>(k_at_hop, scored.size());
       std::partial_sort(scored.begin(), scored.begin() + take, scored.end(),
@@ -129,8 +131,8 @@ void RoiSampler::SelectChildren(const GraphView& g, NodeId node,
           cur = nxt;
         }
       }
-      std::vector<std::pair<double, int64_t>> scored;
-      scored.reserve(deg);
+      auto& scored = scratch->scored;
+      scored.clear();
       for (int64_t p = 0; p < deg; ++p) {
         if (options_.exclude_parent && nb.ids[p] == parent) continue;
         if (visits[p] == 0) continue;
@@ -190,8 +192,11 @@ std::vector<RoiSubgraph> RoiSampler::SampleBatch(
   // Shared across the batch: one scratch, one relevance memo (all egos
   // score against the same fc), and — when g is a dynamic view — the one
   // snapshot the view pinned, held for the whole expansion.
-  NeighborScratch scratch;
-  std::unordered_map<NodeId, double> memo;
+  thread_local Scratch scratch;
+  // Sized to the view on every call: a dynamic view grows as nodes are
+  // minted.
+  scratch.relevance.Begin(static_cast<size_t>(g.num_nodes()));
+  std::vector<RoiNode>& children = scratch.children;
   std::vector<size_t> frontier_begin(egos.size(), 0);
   for (size_t e = 0; e < egos.size(); ++e) {
     const NodeId ego = egos[e];
@@ -200,7 +205,7 @@ std::vector<RoiSubgraph> RoiSampler::SampleBatch(
     root.id = ego;
     root.depth = 0;
     root.parent = -1;
-    root.relevance = ScoreMemoized(*scorer_, g, fc, ego, &memo);
+    root.relevance = scratch.Score(*scorer_, g, fc, ego);
     rois[e].nodes.push_back(root);
   }
 
@@ -212,12 +217,12 @@ std::vector<RoiSubgraph> RoiSampler::SampleBatch(
       const size_t frontier_end = roi.nodes.size();
       for (size_t fi = frontier_begin[e]; fi < frontier_end; ++fi) {
         if (roi.size() >= options_.max_nodes) break;
-        std::vector<RoiNode> children;
+        children.clear();
         const NodeId parent_of_node =
             roi.nodes[fi].parent >= 0 ? roi.nodes[roi.nodes[fi].parent].id
                                       : -1;
         SelectChildren(g, roi.nodes[fi].id, parent_of_node, fc, hop, rng,
-                       &scratch, &memo, &children);
+                       &scratch, &children);
         for (auto& c : children) {
           if (roi.size() >= options_.max_nodes) break;
           c.depth = hop;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -132,13 +131,16 @@ class RoiSampler {
   const RoiSamplerOptions& options() const { return options_; }
 
  private:
+  /// Per-thread buffers reused across SampleBatch calls: neighbor
+  /// scratch, the relevance memo and the child-selection vectors.
+  struct Scratch;
+
   /// Selects up to k(hop) children of `node`, excluding `parent`. The
-  /// neighbor block is resolved through `scratch` (reused across calls);
-  /// kFocalTopK relevance lookups go through the batch-shared `memo`.
+  /// neighbor block is resolved through `scratch`; kFocalTopK relevance
+  /// lookups go through its batch-shared memo.
   void SelectChildren(const graph::GraphView& g, graph::NodeId node,
                       graph::NodeId parent, const std::vector<float>& fc,
-                      int hop, Rng* rng, graph::NeighborScratch* scratch,
-                      std::unordered_map<graph::NodeId, double>* memo,
+                      int hop, Rng* rng, Scratch* scratch,
                       std::vector<RoiNode>* out) const;
 
   RoiSamplerOptions options_;

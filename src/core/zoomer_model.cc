@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/stamped_table.h"
 
 namespace zoomer {
 namespace core {
@@ -44,10 +45,27 @@ SlotEmbeddings::SlotEmbeddings(const HeteroGraph& g, int dim, Rng* rng)
 }
 
 Tensor SlotEmbeddings::Lookup(const graph::GraphView& g, NodeId node) const {
-  const int t = static_cast<int>(g.node_type(node));
-  auto s = g.slots(node);
-  ZCHECK_EQ(s.size(), tables_[t].size());
-  return GatherRows(tables_[t], s);
+  return LookupMany(g, g.node_type(node), {&node, 1});
+}
+
+Tensor SlotEmbeddings::LookupMany(const graph::GraphView& g, NodeType type,
+                                  std::span<const NodeId> nodes) const {
+  const auto& tables = tables_[static_cast<int>(type)];
+  const size_t slots = tables.size();
+  std::vector<int> table_of;
+  std::vector<int64_t> ids;
+  table_of.reserve(nodes.size() * slots);
+  ids.reserve(nodes.size() * slots);
+  for (NodeId node : nodes) {
+    ZCHECK(g.node_type(node) == type);
+    auto s = g.slots(node);
+    ZCHECK_EQ(s.size(), slots);
+    for (size_t i = 0; i < slots; ++i) {
+      table_of.push_back(static_cast<int>(i));
+      ids.push_back(s[i]);
+    }
+  }
+  return GatherRows(tables, table_of, ids);
 }
 
 std::vector<Tensor> SlotEmbeddings::Parameters() const {
@@ -82,22 +100,25 @@ ZoomerModel::ZoomerModel(const HeteroGraph* g, const ZoomerConfig& config)
       Tensor::Full(1, 1, config_.logit_scale_init, /*requires_grad=*/true);
 }
 
-Tensor ZoomerModel::FeatureLevelEmbedding(NodeId node,
-                                          const Tensor& focal) const {
-  const Tensor h = slots_.Lookup(*view_, node);  // (n_slots x d)
+Tensor ZoomerModel::FeatureLevel(NodeType type, std::span<const NodeId> nodes,
+                                 const Tensor& focal) const {
+  const Tensor h = slots_.LookupMany(*view_, type, nodes);  // n_slots per node
+  const int64_t slots = slots_.num_slots(type);
+  std::vector<int64_t> offsets(nodes.size() + 1);
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = static_cast<int64_t>(i) * slots;
+  }
   Tensor z;
   if (config_.use_feature_projection && focal.defined()) {
-    // eq. 6-7: Wc = softmax(H·C / sqrt(d)); Z = H ⊙ Wc; pooled to (1 x d).
+    // eq. 6-7: Wc = softmax(H·C / sqrt(d)); Z = H ⊙ Wc; pooled to one row
+    // per node (the focal-weighted sum of its slot latents).
     const float inv_sqrt_d =
         1.0f / std::sqrt(static_cast<float>(config_.hidden_dim));
-    Tensor scores = ScaledRowDots(h, focal, inv_sqrt_d);  // (n x 1)
-    Tensor alpha = SoftmaxColumn(scores);
-    z = ColSum(Mul(h, alpha));  // focal-weighted sum of slot latents
+    z = SegmentFocalPool(h, focal, offsets, inv_sqrt_d);
   } else {
-    z = MeanRows(h);
+    z = SegmentMean(h, offsets);
   }
-  const int t = static_cast<int>(view_->node_type(node));
-  return Tanh(type_map_[t].Forward(z));
+  return Tanh(type_map_[static_cast<int>(type)].Forward(z));
 }
 
 Tensor ZoomerModel::FocalVector(NodeId user, NodeId query) const {
@@ -111,94 +132,193 @@ Tensor ZoomerModel::FocalVector(NodeId user, NodeId query) const {
   return Tanh(Add(type_map_[tu].Forward(zu), type_map_[tq].Forward(zq)));
 }
 
-Tensor ZoomerModel::EdgeAttentionWeights(const Tensor& ego_z,
-                                         const Tensor& child_z,
-                                         const Tensor& focal) const {
-  // eq. 8: softmax_k LeakyReLU(a' [Z_i || Z_k || Z_c]) within one type group.
-  const Tensor parts[] = {ego_z, child_z, focal};  // ego, focal tiled k times
-  Tensor scores =
-      LeakyRelu(ConcatMatVec(parts, edge_attn_a_), config_.leaky_slope);
-  return SoftmaxColumn(scores);  // (k x 1)
-}
-
-Tensor ZoomerModel::AggregateNode(
-    const RoiSubgraph& roi, int index, const Tensor& focal,
-    std::vector<EdgeAttentionRecord>* edge_weights) const {
-  const RoiNode& node = roi.nodes[index];
-  Tensor z_self = FeatureLevelEmbedding(node.id, focal);
-  const int cb = roi.children_begin[index];
-  const int ce = roi.children_end[index];
-  if (cb >= ce) return z_self;  // leaf: feature-level embedding only
-
-  // Recurse into children, grouped by node type (eq. 9 aggregates within
-  // type; eq. 10-11 combines across types).
-  std::array<std::vector<Tensor>, kNumNodeTypes> by_type;
-  std::array<std::vector<NodeId>, kNumNodeTypes> ids_by_type;
-  for (int c = cb; c < ce; ++c) {
-    const NodeId child = roi.nodes[c].id;
-    const int t = static_cast<int>(view_->node_type(child));
-    by_type[t].push_back(AggregateNode(roi, c, focal, nullptr));
-    if (edge_weights != nullptr) ids_by_type[t].push_back(child);
+std::vector<Tensor> ZoomerModel::AggregateRois(
+    std::span<const RoiSubgraph> rois, const Tensor& focal,
+    std::vector<EdgeAttentionRecord>* root_weights) const {
+  // The ROIs as one forest, ROI after ROI. A node's current embedding is
+  // row `row` of sources[src]: its feature-level row until its own depth
+  // level is aggregated, its row of that level's output after.
+  struct ForestNode {
+    NodeId id;
+    int type;
+    int depth;
+    int children_begin, children_end;  // forest indices
+    int self_src, src;
+    int64_t self_row, row;
+  };
+  std::vector<ForestNode> nodes;
+  std::vector<int> roots;
+  // A node's feature-level embedding depends only on the node and the focal
+  // vector, so each distinct node of the forest gets one row of its type.
+  std::array<std::vector<NodeId>, kNumNodeTypes> ids_of_type;
+  thread_local StampedTable<int64_t> row_of_node;
+  row_of_node.Begin(static_cast<size_t>(view_->num_nodes()));
+  int max_depth = 0;
+  for (const RoiSubgraph& roi : rois) {
+    const int base = static_cast<int>(nodes.size());
+    roots.push_back(base);
+    for (int i = 0; i < roi.size(); ++i) {
+      const NodeId id = roi.nodes[i].id;
+      const int t = static_cast<int>(view_->node_type(id));
+      const int64_t* known = row_of_node.Find(static_cast<size_t>(id));
+      const int64_t row =
+          known != nullptr
+              ? *known
+              : row_of_node.Set(static_cast<size_t>(id),
+                                static_cast<int64_t>(ids_of_type[t].size()));
+      if (known == nullptr) ids_of_type[t].push_back(id);
+      max_depth = std::max(max_depth, roi.nodes[i].depth);
+      nodes.push_back({id, t, roi.nodes[i].depth,
+                       base + roi.children_begin[i], base + roi.children_end[i],
+                       -1, -1, row, row});
+    }
   }
 
-  std::vector<Tensor> type_embeddings;
+  // Feature level: one pass per node type over all of the forest's nodes.
+  std::vector<Tensor> sources;
+  int src_of_type[kNumNodeTypes] = {-1, -1, -1};
   for (int t = 0; t < kNumNodeTypes; ++t) {
-    if (by_type[t].empty()) continue;
-    Tensor z_children = StackRows(by_type[t]);  // (k_t x d)
-    Tensor e_t;
-    Tensor alpha;
-    if (config_.use_edge_attention) {
-      alpha = EdgeAttentionWeights(z_self, z_children, focal);
-      e_t = WeightedSumRows(alpha, z_children);  // (1 x d)
-    } else {
-      e_t = MeanRows(z_children);  // mean pooling (GCN / Zoomer-FS)
-    }
-    if (edge_weights != nullptr) {
-      const int64_t k = z_children.rows();
-      for (int64_t i = 0; i < k; ++i) {
-        edge_weights->push_back(
-            {ids_by_type[t][i], static_cast<NodeType>(t),
-             alpha.defined() ? alpha.at(i, 0)
-                             : 1.0f / static_cast<float>(k)});
+    if (ids_of_type[t].empty()) continue;
+    src_of_type[t] = static_cast<int>(sources.size());
+    sources.push_back(
+        FeatureLevel(static_cast<NodeType>(t), ids_of_type[t], focal));
+  }
+  for (ForestNode& n : nodes) n.self_src = n.src = src_of_type[n.type];
+  const size_t num_feature_sources = sources.size();
+
+  // Aggregation, deepest parents first: each depth level aggregates all of
+  // its parents at once, so a parent's children are final before it reads
+  // them.
+  std::vector<int> parents;
+  std::vector<int> table_of;
+  std::vector<int64_t> rows;
+  for (int level = max_depth - 1; level >= 0; --level) {
+    parents.clear();
+    for (int v = 0; v < static_cast<int>(nodes.size()); ++v) {
+      if (nodes[v].depth == level &&
+          nodes[v].children_begin < nodes[v].children_end) {
+        parents.push_back(v);
       }
     }
-    type_embeddings.push_back(e_t);
+    if (parents.empty()) continue;
+    const int64_t np = static_cast<int64_t>(parents.size());
+    table_of.clear();
+    rows.clear();
+    for (int p : parents) {
+      table_of.push_back(nodes[p].self_src);
+      rows.push_back(nodes[p].self_row);
+    }
+    const Tensor z_self = GatherRows(
+        std::span(sources).first(num_feature_sources), table_of, rows);
+
+    // Edge level (eq. 8-9) within type: per type, segment p holds parent
+    // p's children of that type in child order (empty if it has none).
+    std::array<Tensor, kNumNodeTypes> by_type;  // (np x d) per type
+    std::array<std::vector<int64_t>, kNumNodeTypes> offsets;
+    for (int t = 0; t < kNumNodeTypes; ++t) {
+      std::vector<int64_t>& off = offsets[t];
+      off.assign(1, 0);
+      table_of.clear();
+      rows.clear();
+      for (int p : parents) {
+        for (int c = nodes[p].children_begin; c < nodes[p].children_end; ++c) {
+          if (nodes[c].type != t) continue;
+          table_of.push_back(nodes[c].src);
+          rows.push_back(nodes[c].row);
+        }
+        off.push_back(static_cast<int64_t>(rows.size()));
+      }
+      if (rows.empty()) continue;
+      const Tensor children = GatherRows(sources, table_of, rows);
+      Tensor alpha;
+      if (config_.use_edge_attention) {
+        // softmax_k LeakyReLU(a' [Z_i || Z_k || Z_c]) per (parent, type).
+        Tensor scores = LeakyRelu(
+            SegmentConcatMatVec(z_self, children, focal, edge_attn_a_, off),
+            config_.leaky_slope);
+        alpha = SegmentSoftmax(scores, off);
+        by_type[t] = SegmentWeightedSum(alpha, children, off);
+      } else {
+        by_type[t] = SegmentMean(children, off);  // GCN / Zoomer-FS
+      }
+      if (root_weights != nullptr && level == 0 && parents[0] == 0) {
+        // rois[0]'s ego is forest node 0, so its segment is the first.
+        const int64_t k = off[1];
+        int64_t i = 0;
+        for (int c = nodes[0].children_begin; c < nodes[0].children_end; ++c) {
+          if (nodes[c].type != t) continue;
+          root_weights->push_back(
+              {nodes[c].id, static_cast<NodeType>(t),
+               alpha.defined() ? alpha.at(i, 0)
+                               : 1.0f / static_cast<float>(k)});
+          ++i;
+        }
+      }
+    }
+
+    // Semantic level (eq. 10-11): one segment per parent over the types
+    // its children have, in type order.
+    std::vector<Tensor> type_tables;
+    int table_of_type[kNumNodeTypes] = {-1, -1, -1};
+    for (int t = 0; t < kNumNodeTypes; ++t) {
+      if (!by_type[t].defined()) continue;
+      table_of_type[t] = static_cast<int>(type_tables.size());
+      type_tables.push_back(by_type[t]);
+    }
+    table_of.clear();
+    rows.clear();
+    std::vector<int64_t> pair_offsets(1, 0);
+    for (int64_t p = 0; p < np; ++p) {
+      for (int t = 0; t < kNumNodeTypes; ++t) {
+        if (table_of_type[t] < 0 || offsets[t][p] == offsets[t][p + 1]) {
+          continue;
+        }
+        table_of.push_back(table_of_type[t]);
+        rows.push_back(p);
+      }
+      pair_offsets.push_back(static_cast<int64_t>(rows.size()));
+    }
+    const Tensor e = GatherRows(type_tables, table_of, rows);
+    Tensor h_agg;
+    if (config_.use_semantic_attention) {
+      // t_k = cos(C_i, E_ik); H_i = sum_k E_ik * t_k. The cosine weights are
+      // softmax-normalized across types so they stay positive and sum to
+      // one (raw signed cosines at initialization randomly cancel the
+      // aggregate and stall optimization).
+      Tensor cosines = RowwiseCosine(Rows(z_self, rows), e);
+      Tensor weights = SegmentSoftmax(Scale(cosines, 2.0f), pair_offsets);
+      h_agg = SegmentSum(Mul(e, weights), pair_offsets);
+    } else {
+      // mean pooling across types (Zoomer-FE / GCN)
+      std::vector<float> inv_types(static_cast<size_t>(np));
+      for (int64_t p = 0; p < np; ++p) {
+        inv_types[p] =
+            1.0f / static_cast<float>(pair_offsets[p + 1] - pair_offsets[p]);
+      }
+      h_agg = Mul(SegmentSum(e, pair_offsets),
+                  Tensor::FromVector(inv_types, np, 1));
+    }
+
+    // GraphSage-style combine of self and aggregated neighborhood (one
+    // Linear per hop depth) with a residual connection to the aggregate so
+    // neighbor embedding signal reaches the towers undiluted.
+    const int hop =
+        std::min<int>(level, static_cast<int>(hop_combine_.size()) - 1);
+    Tensor mixed = Tanh(hop_combine_[hop].Forward(ConcatCols(z_self, h_agg)));
+    const int src = static_cast<int>(sources.size());
+    sources.push_back(Add(mixed, h_agg));
+    for (int64_t p = 0; p < np; ++p) {
+      nodes[parents[p]].src = src;
+      nodes[parents[p]].row = p;
+    }
   }
 
-  Tensor h_agg;
-  if (type_embeddings.empty()) {
-    h_agg = Tensor::Zeros(1, config_.hidden_dim);
-  } else if (config_.use_semantic_attention) {
-    // eq. 10-11: t_k = cos(C_i, E_ik); H_i = sum_k E_ik * t_k. The cosine
-    // weights are softmax-normalized across types so they stay positive and
-    // sum to one (raw signed cosines at initialization randomly cancel the
-    // aggregate and stall optimization).
-    std::vector<Tensor> cosines;
-    for (const auto& e_t : type_embeddings) {
-      cosines.push_back(RowwiseCosine(z_self, e_t));  // (1 x 1)
-    }
-    Tensor weights =
-        SoftmaxColumn(Scale(StackRows(cosines), 2.0f));  // (T x 1)
-    for (size_t i = 0; i < type_embeddings.size(); ++i) {
-      Tensor w = Rows(weights, {static_cast<int64_t>(i)});
-      Tensor weighted = Mul(type_embeddings[i], w);
-      h_agg = h_agg.defined() ? Add(h_agg, weighted) : weighted;
-    }
-  } else {
-    // mean pooling across types (Zoomer-FE / GCN)
-    for (const auto& e_t : type_embeddings) {
-      h_agg = h_agg.defined() ? Add(h_agg, e_t) : e_t;
-    }
-    h_agg = Scale(h_agg, 1.0f / static_cast<float>(type_embeddings.size()));
+  std::vector<Tensor> egos;
+  for (int r : roots) {
+    const Tensor& t = sources[nodes[r].src];
+    egos.push_back(t.rows() == 1 ? t : Rows(t, {nodes[r].row}));
   }
-
-  // GraphSage-style combine of self and aggregated neighborhood (one Linear
-  // per hop depth) with a residual connection to the aggregate so neighbor
-  // embedding signal reaches the towers undiluted.
-  const int hop = std::min<int>(node.depth,
-                                static_cast<int>(hop_combine_.size()) - 1);
-  Tensor mixed = Tanh(hop_combine_[hop].Forward(ConcatCols(z_self, h_agg)));
-  return Add(mixed, h_agg);
+  return egos;
 }
 
 Tensor ZoomerModel::EgoEmbedding(NodeId ego, NodeId user, NodeId query,
@@ -207,27 +327,28 @@ Tensor ZoomerModel::EgoEmbedding(NodeId ego, NodeId user, NodeId query,
       sampler_.FocalVector(*view_, {user, query});  // content space (eq. 5)
   RoiSubgraph roi = sampler_.Sample(*view_, ego, fc, rng);
   Tensor focal = FocalVector(user, query);  // latent space (Sec. V-A)
-  return AggregateNode(roi, 0, focal, nullptr);
+  return AggregateRois({&roi, 1}, focal, nullptr)[0];
 }
 
 Tensor ZoomerModel::UserQueryEmbedding(NodeId user, NodeId query,
                                        Rng* rng) const {
   // Both egos share one focal vector, so their ROIs expand as one batch:
   // one snapshot pin, one scratch, and a shared relevance memo (minibatch
-  // assembly in the trainer funnels through here per example).
+  // assembly in the trainer funnels through here per example), and they
+  // aggregate as one forest.
   const std::vector<float> fc = sampler_.FocalVector(*view_, {user, query});
   const NodeId egos[2] = {user, query};
   std::vector<RoiSubgraph> rois = sampler_.SampleBatch(*view_, egos, fc, rng);
   Tensor focal = FocalVector(user, query);  // latent space (Sec. V-A)
-  Tensor hu = AggregateNode(rois[0], 0, focal, nullptr);
-  Tensor hq = AggregateNode(rois[1], 0, focal, nullptr);
-  return Tanh(uq_tower_.Forward(ConcatCols(hu, hq)));
+  std::vector<Tensor> h = AggregateRois(rois, focal, nullptr);
+  return Tanh(uq_tower_.Forward(ConcatCols(h[0], h[1])));
 }
 
 Tensor ZoomerModel::ItemEmbedding(NodeId item) const {
   ZCHECK_EQ(static_cast<int>(view_->node_type(item)),
             static_cast<int>(NodeType::kItem));
-  Tensor z = FeatureLevelEmbedding(item, Tensor());  // base model: no focal
+  // Base model: no focal vector.
+  Tensor z = FeatureLevel(NodeType::kItem, {&item, 1}, Tensor());
   return Tanh(item_tower_.Forward(z));
 }
 
@@ -255,7 +376,7 @@ std::vector<EdgeAttentionRecord> ZoomerModel::ExplainEdgeWeights(
   RoiSubgraph roi = sampler_.Sample(*view_, ego, fc, rng);
   Tensor focal = FocalVector(user, query);
   std::vector<EdgeAttentionRecord> records;
-  AggregateNode(roi, 0, focal, &records);
+  AggregateRois({&roi, 1}, focal, &records);
   return records;
 }
 

@@ -6,13 +6,23 @@
 //      embeddings (Sec. V-A);
 //   2. ROI subgraphs for the ego user and ego query are sampled with the
 //      focal-biased sampler (Sec. V-C);
-//   3. multi-level attention aggregates each ROI bottom-up (Sec. V-D):
+//   3. multi-level attention aggregates the ROIs bottom-up (Sec. V-D), one
+//      level of the ROI trees at a time over all of a request's egos:
 //        - feature projection  (eq. 6-7): per-slot latent vectors reweighed
-//          by softmax(H·C/sqrt(d)) against the focal vector;
+//          by softmax(H·C/sqrt(d)) against the focal vector. The distinct
+//          ROI nodes of one type share one slot gather, one segmented focal
+//          pool (a segment per node) and one space-mapping Affine;
 //        - edge reweighing     (eq. 8-9): within-type neighbor softmax over
-//          LeakyReLU(a' [Z_i || Z_j || Z_c]);
+//          LeakyReLU(a' [Z_i || Z_j || Z_c]). For each depth, deepest
+//          first, one gather per node type picks the children of all the
+//          depth's parents, and segmented score, softmax and weighted-sum
+//          ops attend within each (parent, type) group;
 //        - semantic combination (eq. 10-11): per-type embeddings combined
-//          with cosine weights against the ego's feature-level embedding;
+//          with cosine weights against the parent's feature-level
+//          embedding, segmented per parent, then one hop-combine Affine
+//          over the depth's parents.
+//      Each value equals the per-node recursion's bit for bit; the shared
+//      parameters' gradient sums add their terms in another order;
 //   4. the user-query tower merges the two ego embeddings; the item tower is
 //      a base (non-Zoomer) embedding model (Sec. V-B: only the user-query
 //      side runs Zoomer online); pCTR = scale * cos(uq, item).
@@ -24,6 +34,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +83,14 @@ class SlotEmbeddings {
   tensor::Tensor Lookup(const graph::GraphView& g, graph::NodeId node) const;
   tensor::Tensor Lookup(const graph::HeteroGraph& g, graph::NodeId node) const {
     return Lookup(graph::CsrGraphView(g), node);
+  }
+
+  /// The Lookup matrices of `nodes`, all of type `type`, stacked in order
+  /// as one node: (|nodes| * num_slots(type) x dim).
+  tensor::Tensor LookupMany(const graph::GraphView& g, graph::NodeType type,
+                            std::span<const graph::NodeId> nodes) const;
+  int num_slots(graph::NodeType type) const {
+    return static_cast<int>(tables_[static_cast<int>(type)].size());
   }
 
   std::vector<tensor::Tensor> Parameters() const;
@@ -148,21 +167,21 @@ class ZoomerModel : public ScoringModel {
   const graph::GraphView& view() const { return *view_; }
 
  private:
-  /// Feature-level node embedding (eq. 6-7) + per-type space mapping.
-  tensor::Tensor FeatureLevelEmbedding(graph::NodeId node,
-                                       const tensor::Tensor& focal) const;
+  /// Feature-level embeddings (eq. 6-7) plus the type's space mapping of
+  /// `nodes`, all of type `type`: row i belongs to nodes[i]. Without a
+  /// focal vector, or with feature projection off, each node's slot
+  /// latents are mean-pooled.
+  tensor::Tensor FeatureLevel(graph::NodeType type,
+                              std::span<const graph::NodeId> nodes,
+                              const tensor::Tensor& focal) const;
 
-  /// Recursive multi-level attention over the ROI tree (eq. 8-11). If
-  /// `edge_weights` is set, appends the weight applied to each child of
-  /// node `index`.
-  tensor::Tensor AggregateNode(
-      const RoiSubgraph& roi, int index, const tensor::Tensor& focal,
-      std::vector<EdgeAttentionRecord>* edge_weights) const;
-
-  /// Within-type edge attention returning the (k x 1) weight column.
-  tensor::Tensor EdgeAttentionWeights(const tensor::Tensor& ego_z,
-                                      const tensor::Tensor& child_z,
-                                      const tensor::Tensor& focal) const;
+  /// Multi-level attention (eq. 6-11) over the ROIs, one depth level of
+  /// all of them at a time, deepest first; returns each ego's (1 x d)
+  /// embedding. If `root_weights` is set, appends the weight applied to
+  /// each child of rois[0]'s ego, grouped by type in child order.
+  std::vector<tensor::Tensor> AggregateRois(
+      std::span<const RoiSubgraph> rois, const tensor::Tensor& focal,
+      std::vector<EdgeAttentionRecord>* root_weights) const;
 
   const graph::HeteroGraph* graph_;
   graph::CsrGraphView base_view_;       // default static view over graph_

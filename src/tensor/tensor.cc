@@ -182,9 +182,10 @@ bool AnyRequiresGrad(const Tensor& a, const Tensor& b) {
   return a.requires_grad() || b.requires_grad();
 }
 
-// Accumulates src into dst->grad (dst must require grad).
-void Accumulate(TensorImpl* dst, const float* src, int64_t n) {
-  float* g = dst->grad;
+// Accumulates src into dst->grad (dst must require grad), from entry `at`.
+void Accumulate(TensorImpl* dst, const float* src, int64_t n,
+                int64_t at = 0) {
+  float* g = dst->grad + at;
   for (int64_t i = 0; i < n; ++i) g[i] += src[i];
 }
 
@@ -335,6 +336,26 @@ void MatMulInto(const float* ad, const float* bd, float* od, int64_t n,
       float* orow = od + i * m;
       for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
     }
+  }
+}
+
+// out[i] = h_i · q for the n rows of h (n x d), each summed from zero over p
+// in order, skipping zero entries of h_i: ScaledRowDots' sums. Eight rows
+// at a time run on independent accumulators.
+void RowDots(const float* hd, const float* qd, int64_t n, int64_t d,
+             float* out) {
+  constexpr int64_t kBlock = 8;
+  for (int64_t i0 = 0; i0 < n; i0 += kBlock) {
+    const int64_t rows = std::min(kBlock, n - i0);
+    float acc[kBlock] = {};
+    for (int64_t p = 0; p < d; ++p) {
+      const float qp = qd[p];
+      for (int64_t r = 0; r < rows; ++r) {
+        const float av = hd[(i0 + r) * d + p];
+        acc[r] = av == 0.0f ? acc[r] : acc[r] + av * qp;
+      }
+    }
+    std::copy(acc, acc + rows, out + i0);
   }
 }
 
@@ -741,26 +762,8 @@ Tensor SoftmaxRows(const Tensor& a) {
 }
 
 Tensor SoftmaxColumn(const Tensor& col) {
-  ZCHECK_EQ(col.cols(), 1) << "SoftmaxColumn of " << col.ShapeString();
-  const int64_t k = col.rows();
-  // Backward rounds its per-entry terms into the block before adding them,
-  // as the transposed chain's middle node did in its own gradient.
-  auto out = MakeImpl(k, 1, col.requires_grad(), Fill::kNone,
-                      col.requires_grad() ? k * sizeof(float) : 0);
-  SoftmaxRow(col.data(), out->data, k);
-  if (out->requires_grad) {
-    Link(out, col);
-    SetBackward(out, [k](TensorImpl& self) {
-      const float* y = self.data;
-      const float* g = self.grad;
-      float* terms = static_cast<float*>(self.aux);
-      float dot = 0.0f;
-      for (int64_t j = 0; j < k; ++j) dot += g[j] * y[j];
-      for (int64_t j = 0; j < k; ++j) terms[j] = y[j] * (g[j] - dot);
-      Accumulate(self.parents[0], terms, k);
-    });
-  }
-  return Tensor(out);
+  const int64_t offsets[] = {0, col.rows()};
+  return SegmentSoftmax(col, offsets);
 }
 
 Tensor Transpose(const Tensor& a) {
@@ -861,47 +864,6 @@ Tensor StackRows(std::span<const Tensor> rows) {
       TensorImpl* r1 = self.parents[1];
       if (r0->requires_grad) Accumulate(r0, self.grad, r0->size());
       if (r1->requires_grad) Accumulate(r1, self.grad + r0->size(), r1->size());
-    });
-  }
-  return Tensor(out);
-}
-
-Tensor GatherRows(std::span<const Tensor> tables,
-                  std::span<const int64_t> ids) {
-  ZCHECK(!tables.empty());
-  ZCHECK_EQ(tables.size(), ids.size());
-  const int64_t n = static_cast<int64_t>(tables.size());
-  const int64_t m = tables[0].cols();
-  bool requires_grad = false;
-  for (const Tensor& t : tables) {
-    requires_grad = requires_grad || t.requires_grad();
-  }
-  // Backward reads a copy of the row ids kept in the block.
-  auto out = MakeImpl(n, m, requires_grad, Fill::kNone,
-                      requires_grad ? n * sizeof(int64_t) : 0,
-                      requires_grad ? tables.size() : 0);
-  for (int64_t i = 0; i < n; ++i) {
-    const Tensor& t = tables[i];
-    ZCHECK_EQ(t.cols(), m);
-    ZCHECK(ids[i] >= 0 && ids[i] < t.rows())
-        << "row index " << ids[i] << " out of range " << t.rows();
-    std::copy(t.data() + ids[i] * m, t.data() + (ids[i] + 1) * m,
-              out->data + i * m);
-  }
-  if (out->requires_grad) {
-    std::copy(ids.begin(), ids.end(), static_cast<int64_t*>(out->aux));
-    Link(out, tables);
-    SetBackward(out, [m](TensorImpl& self) {
-      const int64_t* rows = static_cast<const int64_t*>(self.aux);
-      // Last row first, the order in which a stacked chain of one-row
-      // gathers propagates: it fixes the sums when a table repeats.
-      for (uint32_t i = self.num_parents; i-- > 0;) {
-        TensorImpl* ti = self.parent(i);
-        if (!ti->requires_grad) continue;
-        const float* g = self.grad + static_cast<int64_t>(i) * m;
-        float* ga = ti->grad + rows[i] * m;
-        for (int64_t j = 0; j < m; ++j) ga[j] += g[j];
-      }
     });
   }
   return Tensor(out);
@@ -1040,18 +1002,10 @@ Tensor ScaledRowDots(const Tensor& h, const Tensor& q, float scale) {
   const bool requires_grad = AnyRequiresGrad(h, q);
   // Backward sums q's gradient in the block before adding it, as the
   // transposed q's own gradient did in the chain.
-  auto out = MakeImpl(n, 1, requires_grad, Fill::kZero,
+  auto out = MakeImpl(n, 1, requires_grad, Fill::kNone,
                       requires_grad ? d * sizeof(float) : 0);
-  const float* hd = h.data();
-  const float* qd = q.data();
   float* od = out->data;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t p = 0; p < d; ++p) {
-      const float av = hd[i * d + p];
-      if (av == 0.0f) continue;
-      od[i] += av * qd[p];
-    }
-  }
+  RowDots(h.data(), q.data(), n, d, od);
   for (int64_t i = 0; i < n; ++i) od[i] = od[i] * scale;
   if (out->requires_grad) {
     Link(out, h, q);
@@ -1113,6 +1067,450 @@ Tensor Rows(const Tensor& a, const std::vector<int64_t>& idx) {
         const float* g = self.grad + static_cast<int64_t>(r) * m;
         float* ga = ai->grad + indices[r] * m;
         for (int64_t j = 0; j < m; ++j) ga[j] += g[j];
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor GatherRows(std::span<const Tensor> tables, std::span<const int> table_of,
+                  std::span<const int64_t> ids) {
+  ZCHECK(!tables.empty() && !ids.empty());
+  ZCHECK_EQ(table_of.size(), ids.size());
+  const int64_t n = static_cast<int64_t>(ids.size());
+  const int64_t m = tables[0].cols();
+  bool requires_grad = false;
+  for (const Tensor& t : tables) {
+    ZCHECK_EQ(t.cols(), m);
+    requires_grad = requires_grad || t.requires_grad();
+  }
+  // Backward reads a copy of the (table, row) pairs kept in the block.
+  const size_t pair_bytes = static_cast<size_t>(n) * sizeof(int64_t) * 2;
+  auto out = MakeImpl(n, m, requires_grad, Fill::kNone,
+                      requires_grad ? pair_bytes : 0,
+                      requires_grad ? tables.size() : 0);
+  for (int64_t i = 0; i < n; ++i) {
+    ZCHECK(table_of[i] >= 0 &&
+           table_of[i] < static_cast<int>(tables.size()));
+    const Tensor& t = tables[table_of[i]];
+    ZCHECK(ids[i] >= 0 && ids[i] < t.rows())
+        << "row index " << ids[i] << " out of range " << t.rows();
+    std::copy(t.data() + ids[i] * m, t.data() + (ids[i] + 1) * m,
+              out->data + i * m);
+  }
+  if (out->requires_grad) {
+    int64_t* pairs = static_cast<int64_t*>(out->aux);
+    for (int64_t i = 0; i < n; ++i) {
+      pairs[2 * i] = table_of[i];
+      pairs[2 * i + 1] = ids[i];
+    }
+    Link(out, tables);
+    SetBackward(out, [n, m](TensorImpl& self) {
+      const int64_t* pairs = static_cast<const int64_t*>(self.aux);
+      for (int64_t i = n; i-- > 0;) {
+        TensorImpl* ti = self.parent(static_cast<uint32_t>(pairs[2 * i]));
+        if (!ti->requires_grad) continue;
+        const float* g = self.grad + i * m;
+        float* ga = ti->grad + pairs[2 * i + 1] * m;
+        for (int64_t j = 0; j < m; ++j) ga[j] += g[j];
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+// ----------------------------------------------------------- segmented ---
+
+namespace {
+
+// Checks that `offsets` splits `rows` rows into segments; returns how many.
+int64_t CheckSegments(std::span<const int64_t> offsets, int64_t rows,
+                      const char* op) {
+  ZCHECK(offsets.size() >= 2 && offsets.front() == 0 &&
+         offsets.back() == rows)
+      << op << ": offsets must run from 0 to " << rows;
+  for (size_t s = 1; s < offsets.size(); ++s) {
+    ZCHECK_LE(offsets[s - 1], offsets[s]) << op << ": offsets decrease";
+  }
+  return static_cast<int64_t>(offsets.size()) - 1;
+}
+
+size_t OffsetsBytes(int64_t segments) {
+  return static_cast<size_t>(segments + 1) * sizeof(int64_t);
+}
+
+// Copies the offsets to the head of out's aux block, where backward reads
+// them; returns the first byte after them.
+void* SaveOffsets(TensorImpl* out, std::span<const int64_t> offsets) {
+  int64_t* saved = static_cast<int64_t*>(out->aux);
+  std::copy(offsets.begin(), offsets.end(), saved);
+  return saved + offsets.size();
+}
+
+// a * b rounded to float before it is added anywhere: s starts at zero, so
+// a contracted multiply-add rounds it once, as a stored product is.
+inline float RoundedProduct(float a, float b) {
+  float s = 0.0f;
+  s += a * b;
+  return s;
+}
+
+}  // namespace
+
+Tensor SegmentFocalPool(const Tensor& h, const Tensor& q,
+                        std::span<const int64_t> offsets, float scale) {
+  ZCHECK(q.rows() == 1 && q.cols() == h.cols())
+      << "SegmentFocalPool shape mismatch " << h.ShapeString() << " vs "
+      << q.ShapeString();
+  const int64_t n = h.rows(), d = h.cols();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentFocalPool");
+  const bool requires_grad = AnyRequiresGrad(h, q);
+  // The block keeps the offsets, the attention weights (n), scratch for the
+  // scores and later their gradients (n) and for q's gradient (d).
+  auto out = MakeImpl(segs, d, requires_grad, Fill::kZero,
+                      OffsetsBytes(segs) + (2 * n + d) * sizeof(float));
+  float* alpha = static_cast<float*>(SaveOffsets(out, offsets));
+  float* scores = alpha + n;
+  const float* hd = h.data();
+  // ScaledRowDots, SoftmaxColumn per segment, then the weighted rows summed
+  // from zero in row order with each product rounded, as Mul stored it
+  // before ColSum added it.
+  RowDots(hd, q.data(), n, d, scores);
+  for (int64_t i = 0; i < n; ++i) scores[i] = scores[i] * scale;
+  for (int64_t s = 0; s < segs; ++s) {
+    const int64_t b = offsets[s], e = offsets[s + 1];
+    if (b < e) SoftmaxRow(scores + b, alpha + b, e - b);
+    float* orow = out->data + s * d;
+    for (int64_t i = b; i < e; ++i) {
+      const float* hrow = hd + i * d;
+      for (int64_t j = 0; j < d; ++j) {
+        orow[j] += RoundedProduct(hrow[j], alpha[i]);
+      }
+    }
+  }
+  if (out->requires_grad) {
+    Link(out, h, q);
+    // Each segment runs the backward of its chain (ColSum, Mul,
+    // SoftmaxColumn, ScaledRowDots) on a zeroed gradient of its rows, which
+    // is then added into h, as the chain's row gather did. Segments go from
+    // the last to the first, the order in which the chains add into q.
+    SetBackward(out, [segs, scale](TensorImpl& self) {
+      TensorImpl* hi = self.parents[0];
+      TensorImpl* qi = self.parents[1];
+      const int64_t n = hi->rows, d = hi->cols;
+      int64_t* off = static_cast<int64_t*>(self.aux);
+      float* alpha = reinterpret_cast<float*>(off + segs + 1);
+      float* ds = alpha + n;  // the weights', then the scores' gradients
+      float* gq = ds + n;
+      const float* qd = qi->data;
+      thread_local std::vector<float> gh;
+      for (int64_t s = segs; s-- > 0;) {
+        const int64_t b = off[s], k = off[s + 1] - b;
+        if (k == 0) continue;
+        const float* g = self.grad + s * d;
+        const float* hs = hi->data + b * d;
+        const float* y = alpha + b;
+        float* dy = ds + b;
+        gh.assign(static_cast<size_t>(k * d), 0.0f);
+        for (int64_t i = 0; i < k; ++i) {
+          for (int64_t j = 0; j < d; ++j) gh[i * d + j] += g[j] * y[i];
+        }
+        for (int64_t i = 0; i < k; ++i) {
+          float acc = 0.0f;
+          for (int64_t j = 0; j < d; ++j) acc += g[j] * hs[i * d + j];
+          dy[i] = acc;
+        }
+        float dot = 0.0f;
+        for (int64_t j = 0; j < k; ++j) dot += dy[j] * y[j];
+        for (int64_t j = 0; j < k; ++j) {
+          dy[j] = RoundedProduct(y[j], dy[j] - dot);
+        }
+        for (int64_t i = 0; i < k; ++i) {
+          const float gi = dy[i] * scale;
+          for (int64_t p = 0; p < d; ++p) {
+            gh[i * d + p] += RoundedProduct(gi, qd[p]);
+          }
+        }
+        if (qi->requires_grad) {
+          std::fill(gq, gq + d, 0.0f);
+          for (int64_t i = 0; i < k; ++i) {
+            const float gi = dy[i] * scale;
+            for (int64_t p = 0; p < d; ++p) {
+              const float av = hs[i * d + p];
+              if (av == 0.0f) continue;
+              gq[p] += av * gi;
+            }
+          }
+          Accumulate(qi, gq, d);
+        }
+        if (hi->requires_grad) Accumulate(hi, gh.data(), k * d, b * d);
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SegmentMean(const Tensor& a, std::span<const int64_t> offsets) {
+  const int64_t n = a.rows(), m = a.cols();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentMean");
+  auto out = MakeImpl(segs, m, a.requires_grad(), Fill::kNone,
+                      a.requires_grad() ? OffsetsBytes(segs) : 0);
+  const float* ad = a.data();
+  for (int64_t s = 0; s < segs; ++s) {
+    const int64_t b = offsets[s], e = offsets[s + 1];
+    float* orow = out->data + s * m;
+    for (int64_t j = 0; j < m; ++j) {
+      float acc = 0.0f;
+      for (int64_t i = b; i < e; ++i) acc += ad[i * m + j];
+      orow[j] = b < e ? acc / static_cast<float>(e - b) : 0.0f;
+    }
+  }
+  if (out->requires_grad) {
+    SaveOffsets(out, offsets);
+    Link(out, a);
+    // MeanRows' terms are rounded before they are added, as they were into
+    // the gradient of the chain's row gather.
+    SetBackward(out, [segs, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      const int64_t* off = static_cast<const int64_t*>(self.aux);
+      for (int64_t s = 0; s < segs; ++s) {
+        const int64_t b = off[s], e = off[s + 1];
+        if (b == e) continue;
+        const float inv = 1.0f / static_cast<float>(e - b);
+        const float* g = self.grad + s * m;
+        for (int64_t i = b; i < e; ++i) {
+          float* ga = ai->grad + i * m;
+          for (int64_t j = 0; j < m; ++j) ga[j] += RoundedProduct(g[j], inv);
+        }
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SegmentSum(const Tensor& a, std::span<const int64_t> offsets) {
+  const int64_t n = a.rows(), m = a.cols();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentSum");
+  auto out = MakeImpl(segs, m, a.requires_grad(), Fill::kZero,
+                      a.requires_grad() ? OffsetsBytes(segs) : 0);
+  const float* ad = a.data();
+  for (int64_t s = 0; s < segs; ++s) {
+    const int64_t b = offsets[s], e = offsets[s + 1];
+    if (b == e) continue;
+    float* orow = out->data + s * m;
+    std::copy(ad + b * m, ad + (b + 1) * m, orow);
+    for (int64_t i = b + 1; i < e; ++i) {
+      for (int64_t j = 0; j < m; ++j) orow[j] = orow[j] + ad[i * m + j];
+    }
+  }
+  if (out->requires_grad) {
+    SaveOffsets(out, offsets);
+    Link(out, a);
+    SetBackward(out, [segs, m](TensorImpl& self) {
+      TensorImpl* ai = self.parents[0];
+      const int64_t* off = static_cast<const int64_t*>(self.aux);
+      for (int64_t s = 0; s < segs; ++s) {
+        for (int64_t i = off[s]; i < off[s + 1]; ++i) {
+          Accumulate(ai, self.grad + s * m, m, i * m);
+        }
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SegmentSoftmax(const Tensor& col, std::span<const int64_t> offsets) {
+  ZCHECK_EQ(col.cols(), 1) << "SegmentSoftmax of " << col.ShapeString();
+  const int64_t n = col.rows();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentSoftmax");
+  // Backward rounds its per-entry terms into the block before adding them,
+  // as SoftmaxColumn does.
+  auto out = MakeImpl(n, 1, col.requires_grad(), Fill::kNone,
+                      col.requires_grad()
+                          ? OffsetsBytes(segs) + n * sizeof(float)
+                          : 0);
+  for (int64_t s = 0; s < segs; ++s) {
+    const int64_t b = offsets[s], e = offsets[s + 1];
+    if (b < e) SoftmaxRow(col.data() + b, out->data + b, e - b);
+  }
+  if (out->requires_grad) {
+    SaveOffsets(out, offsets);
+    Link(out, col);
+    SetBackward(out, [segs, n](TensorImpl& self) {
+      int64_t* off = static_cast<int64_t*>(self.aux);
+      float* terms = reinterpret_cast<float*>(off + segs + 1);
+      const float* y = self.data;
+      const float* g = self.grad;
+      for (int64_t s = 0; s < segs; ++s) {
+        float dot = 0.0f;
+        for (int64_t j = off[s]; j < off[s + 1]; ++j) dot += g[j] * y[j];
+        for (int64_t j = off[s]; j < off[s + 1]; ++j) {
+          terms[j] = y[j] * (g[j] - dot);
+        }
+      }
+      Accumulate(self.parents[0], terms, n);
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SegmentWeightedSum(const Tensor& w, const Tensor& z,
+                          std::span<const int64_t> offsets) {
+  ZCHECK(w.cols() == 1 && w.rows() == z.rows())
+      << "SegmentWeightedSum shape mismatch " << w.ShapeString() << " vs "
+      << z.ShapeString();
+  const int64_t n = z.rows(), m = z.cols();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentWeightedSum");
+  const bool requires_grad = AnyRequiresGrad(w, z);
+  auto out = MakeImpl(segs, m, requires_grad, Fill::kZero,
+                      requires_grad ? OffsetsBytes(segs) : 0);
+  const float* wd = w.data();
+  const float* zd = z.data();
+  for (int64_t s = 0; s < segs; ++s) {
+    float* orow = out->data + s * m;
+    for (int64_t p = offsets[s]; p < offsets[s + 1]; ++p) {
+      const float av = wd[p];
+      if (av == 0.0f) continue;
+      const float* zrow = zd + p * m;
+      for (int64_t j = 0; j < m; ++j) orow[j] += av * zrow[j];
+    }
+  }
+  if (out->requires_grad) {
+    SaveOffsets(out, offsets);
+    Link(out, w, z);
+    // WeightedSumRows' terms are rounded before they are added, as they
+    // were into the gradients of the chain's row gathers.
+    SetBackward(out, [segs, m](TensorImpl& self) {
+      TensorImpl* wi = self.parents[0];
+      TensorImpl* zi = self.parents[1];
+      const int64_t* off = static_cast<const int64_t*>(self.aux);
+      for (int64_t s = 0; s < segs; ++s) {
+        const float* g = self.grad + s * m;
+        if (zi->requires_grad) {
+          for (int64_t p = off[s]; p < off[s + 1]; ++p) {
+            const float av = wi->data[p];
+            if (av == 0.0f) continue;
+            float* gz = zi->grad + p * m;
+            for (int64_t j = 0; j < m; ++j) gz[j] += RoundedProduct(av, g[j]);
+          }
+        }
+        if (wi->requires_grad) {
+          for (int64_t p = off[s]; p < off[s + 1]; ++p) {
+            const float* zrow = zi->data + p * m;
+            float acc = 0.0f;
+            for (int64_t j = 0; j < m; ++j) acc += g[j] * zrow[j];
+            wi->grad[p] += acc;
+          }
+        }
+      }
+    });
+  }
+  return Tensor(out);
+}
+
+Tensor SegmentConcatMatVec(const Tensor& per_segment, const Tensor& per_row,
+                           const Tensor& shared, const Tensor& v,
+                           std::span<const int64_t> offsets) {
+  const int64_t n = per_row.rows();
+  const int64_t segs = CheckSegments(offsets, n, "SegmentConcatMatVec");
+  const int64_t d0 = per_segment.cols(), d1 = per_row.cols(),
+                d2 = shared.cols();
+  ZCHECK(per_segment.rows() == segs && shared.rows() == 1 &&
+         v.rows() == d0 + d1 + d2 && v.cols() == 1)
+      << "SegmentConcatMatVec shape mismatch: " << per_segment.ShapeString()
+      << " per segment of " << segs << ", " << per_row.ShapeString() << ", "
+      << shared.ShapeString() << ", v " << v.ShapeString();
+  const bool requires_grad = AnyRequiresGrad(per_segment, per_row) ||
+                             AnyRequiresGrad(shared, v);
+  auto out = MakeImpl(n, 1, requires_grad, Fill::kNone,
+                      requires_grad ? OffsetsBytes(segs) : 0,
+                      requires_grad ? 4 : 0);
+  // Entry i sums the products of its three parts' entries with v from
+  // zero, in column order and skipping zero entries, as ConcatMatVec's row
+  // loop does. Eight entries at a time run on independent accumulators.
+  constexpr int64_t kBlock = 8;
+  const float* vd = v.data();
+  int64_t s = 0;  // the segment of the block's current entry
+  for (int64_t i0 = 0; i0 < n; i0 += kBlock) {
+    const int64_t rows = std::min(kBlock, n - i0);
+    const float* parts[3][kBlock];
+    for (int64_t r = 0; r < rows; ++r) {
+      while (offsets[s + 1] <= i0 + r) ++s;
+      parts[0][r] = per_segment.data() + s * d0;
+      parts[1][r] = per_row.data() + (i0 + r) * d1;
+      parts[2][r] = shared.data();
+    }
+    float acc[kBlock] = {};
+    const int64_t width[3] = {d0, d1, d2};
+    for (int q = 0, off = 0; q < 3; off += width[q], ++q) {
+      for (int64_t j = 0; j < width[q]; ++j) {
+        const float vj = vd[off + j];
+        for (int64_t r = 0; r < rows; ++r) {
+          const float av = parts[q][r][j];
+          acc[r] = av == 0.0f ? acc[r] : acc[r] + av * vj;
+        }
+      }
+    }
+    std::copy(acc, acc + rows, out->data + i0);
+  }
+  if (out->requires_grad) {
+    SaveOffsets(out, offsets);
+    Link(out, per_segment, per_row);
+    Link(out, shared, v);
+    // Per segment, from the last to the first (the order in which the
+    // chains' nodes propagate): v, then the parts from the last to the
+    // first, as ConcatMatVec. The segment's row of per_segment sums its
+    // entries' terms first, as the chain's one-row gather did.
+    SetBackward(out, [segs](TensorImpl& self) {
+      TensorImpl* parts[3] = {self.parent(0), self.parent(1), self.parent(2)};
+      TensorImpl* vi = self.parent(3);
+      const int64_t* off = static_cast<const int64_t*>(self.aux);
+      const int64_t width[3] = {parts[0]->cols, parts[1]->cols,
+                                parts[2]->cols};
+      const int64_t at[3] = {0, width[0], width[0] + width[1]};
+      const float* g = self.grad;
+      const float* vd = vi->data;
+      thread_local std::vector<float> row_sum;
+      for (int64_t s = segs; s-- > 0;) {
+        const int64_t b = off[s], e = off[s + 1];
+        if (vi->requires_grad) {
+          for (int64_t i = b; i < e; ++i) {
+            const float* rows[3] = {parts[0]->data + s * width[0],
+                                    parts[1]->data + i * width[1],
+                                    parts[2]->data};
+            for (int q = 0; q < 3; ++q) {
+              for (int64_t j = 0; j < width[q]; ++j) {
+                const float av = rows[q][j];
+                if (av == 0.0f) continue;
+                vi->grad[at[q] + j] += av * g[i];
+              }
+            }
+          }
+        }
+        if (parts[2]->requires_grad) {
+          for (int64_t i = b; i < e; ++i) {
+            for (int64_t j = 0; j < width[2]; ++j) {
+              parts[2]->grad[j] += RoundedProduct(g[i], vd[at[2] + j]);
+            }
+          }
+        }
+        if (parts[1]->requires_grad) {
+          for (int64_t i = b; i < e; ++i) {
+            float* prow = parts[1]->grad + i * width[1];
+            for (int64_t j = 0; j < width[1]; ++j) {
+              prow[j] += RoundedProduct(g[i], vd[at[1] + j]);
+            }
+          }
+        }
+        if (parts[0]->requires_grad && b < e) {
+          row_sum.assign(static_cast<size_t>(width[0]), 0.0f);
+          for (int64_t i = b; i < e; ++i) {
+            for (int64_t j = 0; j < width[0]; ++j) {
+              row_sum[j] += RoundedProduct(g[i], vd[j]);
+            }
+          }
+          Accumulate(parts[0], row_sum.data(), width[0], s * width[0]);
+        }
       }
     });
   }

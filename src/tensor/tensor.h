@@ -43,6 +43,21 @@
 //       where the chain rounded a product into a buffer before adding it,
 //       the fused loop does too, so FMA contraction under -march=native
 //       rounds exactly as it did.
+//  - Segmented ops. SegmentFocalPool, SegmentMean, SegmentSum,
+//    SegmentSoftmax, SegmentWeightedSum and SegmentConcatMatVec run one op
+//    chain over every segment of their rows (the slot rows of each ROI
+//    node, the children of each (parent, type) group, ...) as one node.
+//    Per segment they give the bits of that chain applied to the
+//    segment's rows alone, forward and backward: each segment's backward
+//    runs on zeroed gradients of its rows and then adds them into the
+//    inputs, as the chain's row gathers did, and inputs shared by all
+//    segments take the segments' terms from the last segment to the first.
+//    ZoomerModel batches each depth level of its ROIs with these ops, so
+//    its forward values equal its per-node recursion's, but the gradient
+//    sums of the parameters shared across ROI nodes (the slot tables, the
+//    type maps, the edge attention vector) and of the focal vector now add
+//    their terms node by node inside one op: not in the order the per-node
+//    graph added them.
 //  - Visit marks. Interior nodes are marked visited with a per-call stamp;
 //    leaves (no parents, nothing to propagate) never enter the order; the
 //    DFS stack and the order live in thread-local scratch.
@@ -297,10 +312,11 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b);
 /// parents; same bits as the left-nested chain ConcatRows(ConcatRows(r0, r1),
 /// r2)... One row is returned as is.
 Tensor StackRows(std::span<const Tensor> rows);
-/// (n x d) matrix whose row i is row ids[i] of tables[i] (each k_i x d), as
-/// one node with n parents; same bits as StackRows of Rows(tables[i],
-/// {ids[i]}). Tables may repeat.
-Tensor GatherRows(std::span<const Tensor> tables,
+/// (n x d) matrix whose row i is row ids[i] of tables[table_of[i]] (each
+/// k_t x d), as one node whose parents are the tables, each once; same
+/// bits as StackRows of Rows(tables[table_of[i]], {ids[i]}) (backward adds
+/// the rows from the last to the first).
+Tensor GatherRows(std::span<const Tensor> tables, std::span<const int> table_of,
                   std::span<const int64_t> ids);
 /// Sum of all entries -> 1x1.
 Tensor SumAll(const Tensor& a);
@@ -321,6 +337,38 @@ Tensor WeightedSumRows(const Tensor& w, const Tensor& z);
 Tensor ScaledRowDots(const Tensor& h, const Tensor& q, float scale);
 /// Gathers rows by index; gradient scatter-adds. idx values in [0, a.rows).
 Tensor Rows(const Tensor& a, const std::vector<int64_t>& idx);
+
+// ---------------------------------------------------------------------------
+// Segmented ops. `offsets` (S + 1 entries, nondecreasing from 0 to the row
+// count of the per-row input) splits the rows into S segments: segment s
+// is rows [offsets[s], offsets[s+1]). A segment may be empty: its output
+// row is zero and it passes no gradient. Each op is one node whose values,
+// segment by segment, are the bits of the one-segment op chain named at it.
+// ---------------------------------------------------------------------------
+
+/// Focal pooling of h (n x d) against the row q (1 x d) -> (S x d): row s is
+/// ColSum(Mul(h_s, SoftmaxColumn(ScaledRowDots(h_s, q, scale)))) over the
+/// rows h_s of segment s.
+Tensor SegmentFocalPool(const Tensor& h, const Tensor& q,
+                        std::span<const int64_t> offsets, float scale);
+/// Row s is MeanRows of segment s of a (n x m) -> (S x m).
+Tensor SegmentMean(const Tensor& a, std::span<const int64_t> offsets);
+/// Row s is the Add chain ((r_0 + r_1) + r_2)... over the rows of segment s
+/// of a (n x m) -> (S x m).
+Tensor SegmentSum(const Tensor& a, std::span<const int64_t> offsets);
+/// SoftmaxColumn within each segment of a (n x 1) column -> (n x 1).
+Tensor SegmentSoftmax(const Tensor& col, std::span<const int64_t> offsets);
+/// Row s is WeightedSumRows(w_s, z_s) over segment s of the (n x 1) weight
+/// column w and z (n x m) -> (S x m).
+Tensor SegmentWeightedSum(const Tensor& w, const Tensor& z,
+                          std::span<const int64_t> offsets);
+/// Entry i, in segment s, is [per_segment_s | per_row_i | shared] · v for
+/// per_segment (S x d_0), per_row (n x d_1), a row shared (1 x d_2) and v
+/// ((d_0 + d_1 + d_2) x 1) -> (n x 1); segment s gives the bits of
+/// ConcatMatVec({per_segment_s, per_row_s, shared}, v).
+Tensor SegmentConcatMatVec(const Tensor& per_segment, const Tensor& per_row,
+                           const Tensor& shared, const Tensor& v,
+                           std::span<const int64_t> offsets);
 /// Row-wise dot product of equal-shaped a,b -> (rows,1).
 Tensor RowwiseDot(const Tensor& a, const Tensor& b);
 /// Row-wise cosine similarity of equal-shaped a,b -> (rows,1).

@@ -2,9 +2,13 @@
 // multi-level attention invariants, and end-to-end learning behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/relevance.h"
@@ -12,6 +16,9 @@
 #include "core/trainer.h"
 #include "core/zoomer_model.h"
 #include "data/taobao_generator.h"
+#include "streaming/dynamic_graph_view.h"
+#include "streaming/dynamic_hetero_graph.h"
+#include "streaming/graph_delta_log.h"
 
 namespace zoomer {
 namespace core {
@@ -258,6 +265,68 @@ TEST(RoiSamplerTest, FocalSamplingIsDeterministic) {
   }
 }
 
+TEST(RoiSamplerTest, RelevanceMemoCoversNodesMintedAfterEarlierCalls) {
+  // The relevance memo is a per-thread array over node ids that a call
+  // sizes to its view. Sample over a dynamic view, mint nodes past that
+  // view's size, and sample again: the minted neighbors are scored and
+  // ranked like the base ones, and nothing carries over between calls.
+  HeteroGraph g = MakeStarGraph(4, 4);
+  streaming::GraphDeltaLog log(1);
+  streaming::DynamicHeteroGraph dyn(&g);
+  RoiSamplerOptions opt;
+  opt.k = 30;
+  opt.num_hops = 2;
+  RoiSampler sampler(opt);
+  Rng rng(12);
+  const auto fc = sampler.FocalVector(g, {0, 1});
+  {
+    streaming::DynamicGraphView before(&dyn);
+    EXPECT_EQ(sampler.Sample(before, 0, fc, &rng).size(), g.num_nodes());
+  }
+  constexpr int kMinted = 40;
+  std::vector<streaming::NodeEvent> nodes;
+  std::vector<streaming::EdgeEvent> edges;
+  for (int i = 0; i < kMinted; ++i) {
+    streaming::NodeEvent ev;
+    ev.type = NodeType::kItem;
+    // The later-minted ones point closer to the focal direction (1, 0).
+    ev.content = {1.0f, 1.0f - static_cast<float>(i) / kMinted};
+    ev.slots = {0, 0, 0, 0, 0};
+    nodes.push_back(ev);
+    edges.push_back({0, -1 - i, RelationKind::kClick, 1.0f, 0});
+  }
+  streaming::DeltaBatch batch;
+  auto epoch = log.AppendWithNodes(
+      0, &nodes, &edges,
+      [&dyn](const std::vector<streaming::NodeEvent>& evs, uint64_t e) {
+        return dyn.AllocateNodeIds(evs, e);
+      },
+      [&dyn](uint64_t e) { dyn.NoteEpochIssued(e); });
+  ASSERT_TRUE(epoch.ok());
+  batch.epoch = epoch.value();
+  batch.node_events = std::move(nodes);
+  batch.events = std::move(edges);
+  ASSERT_TRUE(dyn.ApplyBatch(batch).ok());
+
+  streaming::DynamicGraphView after(&dyn);
+  ASSERT_EQ(after.num_nodes(), g.num_nodes() + kMinted);
+  const RoiSubgraph roi = sampler.Sample(after, 0, fc, &rng);
+  ASSERT_EQ(roi.size(), 1 + opt.k);  // the ego's 49 neighbors, cut to k
+  std::vector<NodeId> minted;  // in ROI order: most relevant first
+  for (int i = 1; i < roi.size(); ++i) {
+    EXPECT_EQ(roi.nodes[i].relevance,
+              sampler.Relevance(after, fc, roi.nodes[i].id));
+    if (i > 1) {
+      EXPECT_GE(roi.nodes[i - 1].relevance, roi.nodes[i].relevance);
+    }
+    if (roi.nodes[i].id >= g.num_nodes()) minted.push_back(roi.nodes[i].id);
+  }
+  ASSERT_GE(minted.size(), 20u);
+  for (size_t i = 0; i < minted.size(); ++i) {
+    EXPECT_EQ(minted[i], g.num_nodes() + kMinted - 1 - static_cast<int>(i));
+  }
+}
+
 TEST(RoiSamplerTest, UniformSamplerDistinctChildren) {
   HeteroGraph g = MakeStarGraph(15, 15);
   RoiSamplerOptions opt;
@@ -453,6 +522,312 @@ TEST(ZoomerModelTest, ExplainEdgeWeightsAreTheAppliedWeightsOverRootChildren) {
       }
     }
     EXPECT_GT(second_hop_rois, 0) << "no sampled ROI reached the second hop";
+  }
+}
+
+// --- Level-batched attention vs the per-node recursion ----------------------
+
+using tensor::Tensor;
+
+// The per-node recursion that the model's level-batched pass replaces,
+// built from public ops over the model's own parameters: each ROI node runs
+// its own feature-level chain (slot gather, focal score, softmax, pool,
+// Affine, Tanh), and each parent its own edge and semantic attention.
+class RecursiveReference {
+ public:
+  explicit RecursiveReference(const ZoomerModel& model)
+      : model_(model), cfg_(model.config()), g_(model.graph()) {
+    const std::vector<Tensor> p = model.Parameters();
+    size_t i = 0;
+    for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+      size_t slots = 0;
+      for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+        if (static_cast<int>(g_.node_type(v)) == t) {
+          slots = g_.slots(v).size();
+          break;
+        }
+      }
+      for (size_t s = 0; s < slots; ++s) tables_[t].push_back(p[i++]);
+    }
+    for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+      type_w_[t] = p[i++];
+      type_b_[t] = p[i++];
+    }
+    for (int h = 0; h < cfg_.sampler.num_hops; ++h) {
+      hop_w_.push_back(p[i++]);
+      hop_b_.push_back(p[i++]);
+    }
+    a_ = p[i++];
+    uq_w_ = p[i++];
+    uq_b_ = p[i++];
+    item_w_ = p[i++];
+    item_b_ = p[i++];
+    scale_ = p[i++];
+    EXPECT_EQ(i, p.size());
+  }
+
+  Tensor Focal(NodeId user, NodeId query) const {
+    const int tu = static_cast<int>(NodeType::kUser);
+    const int tq = static_cast<int>(NodeType::kQuery);
+    return Tanh(Add(Affine(MeanRows(Slots(user)), type_w_[tu], type_b_[tu]),
+                    Affine(MeanRows(Slots(query)), type_w_[tq], type_b_[tq])));
+  }
+
+  Tensor FeatureLevel(NodeId node, const Tensor& focal) const {
+    const Tensor h = Slots(node);
+    Tensor z;
+    if (cfg_.use_feature_projection && focal.defined()) {
+      const float inv_sqrt_d =
+          1.0f / std::sqrt(static_cast<float>(cfg_.hidden_dim));
+      Tensor alpha = SoftmaxColumn(ScaledRowDots(h, focal, inv_sqrt_d));
+      z = ColSum(Mul(h, alpha));
+    } else {
+      z = MeanRows(h);
+    }
+    const int t = static_cast<int>(g_.node_type(node));
+    return Tanh(Affine(z, type_w_[t], type_b_[t]));
+  }
+
+  Tensor Aggregate(const RoiSubgraph& roi, int index, const Tensor& focal,
+                   std::vector<EdgeAttentionRecord>* records) const {
+    Tensor z_self = FeatureLevel(roi.nodes[index].id, focal);
+    const int cb = roi.children_begin[index];
+    const int ce = roi.children_end[index];
+    if (cb >= ce) return z_self;
+    std::array<std::vector<Tensor>, graph::kNumNodeTypes> by_type;
+    std::array<std::vector<NodeId>, graph::kNumNodeTypes> ids_by_type;
+    for (int c = cb; c < ce; ++c) {
+      const int t = static_cast<int>(g_.node_type(roi.nodes[c].id));
+      by_type[t].push_back(Aggregate(roi, c, focal, nullptr));
+      ids_by_type[t].push_back(roi.nodes[c].id);
+    }
+    std::vector<Tensor> type_embeddings;
+    for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+      if (by_type[t].empty()) continue;
+      Tensor z_children = StackRows(by_type[t]);
+      Tensor e_t, alpha;
+      if (cfg_.use_edge_attention) {
+        const Tensor parts[] = {z_self, z_children, focal};
+        alpha = SoftmaxColumn(
+            LeakyRelu(ConcatMatVec(parts, a_), cfg_.leaky_slope));
+        e_t = WeightedSumRows(alpha, z_children);
+      } else {
+        e_t = MeanRows(z_children);
+      }
+      if (records != nullptr) {
+        const int64_t k = z_children.rows();
+        for (int64_t i = 0; i < k; ++i) {
+          records->push_back({ids_by_type[t][i], static_cast<NodeType>(t),
+                              alpha.defined() ? alpha.at(i, 0)
+                                              : 1.0f / static_cast<float>(k)});
+        }
+      }
+      type_embeddings.push_back(e_t);
+    }
+    Tensor h_agg;
+    if (cfg_.use_semantic_attention) {
+      std::vector<Tensor> cosines;
+      for (const auto& e_t : type_embeddings) {
+        cosines.push_back(RowwiseCosine(z_self, e_t));
+      }
+      Tensor weights = SoftmaxColumn(Scale(StackRows(cosines), 2.0f));
+      for (size_t i = 0; i < type_embeddings.size(); ++i) {
+        Tensor weighted =
+            Mul(type_embeddings[i], Rows(weights, {static_cast<int64_t>(i)}));
+        h_agg = h_agg.defined() ? Add(h_agg, weighted) : weighted;
+      }
+    } else {
+      for (const auto& e_t : type_embeddings) {
+        h_agg = h_agg.defined() ? Add(h_agg, e_t) : e_t;
+      }
+      h_agg = Scale(h_agg, 1.0f / static_cast<float>(type_embeddings.size()));
+    }
+    const int hop = std::min<int>(roi.nodes[index].depth,
+                                  static_cast<int>(hop_w_.size()) - 1);
+    Tensor mixed =
+        Tanh(Affine(ConcatCols(z_self, h_agg), hop_w_[hop], hop_b_[hop]));
+    return Add(mixed, h_agg);
+  }
+
+  Tensor UserQuery(NodeId user, NodeId query, Rng* rng) const {
+    const RoiSampler& sampler = model_.sampler();
+    const auto fc = sampler.FocalVector(g_, {user, query});
+    const NodeId egos[2] = {user, query};
+    const auto rois = sampler.SampleBatch(g_, egos, fc, rng);
+    const Tensor focal = Focal(user, query);
+    return Tanh(Affine(ConcatCols(Aggregate(rois[0], 0, focal, nullptr),
+                                  Aggregate(rois[1], 0, focal, nullptr)),
+                       uq_w_, uq_b_));
+  }
+
+  Tensor Item(NodeId item) const {
+    return Tanh(Affine(FeatureLevel(item, Tensor()), item_w_, item_b_));
+  }
+
+  Tensor ScoreLogit(const data::Example& ex, Rng* rng) const {
+    return Mul(RowwiseCosine(UserQuery(ex.user, ex.query, rng), Item(ex.item)),
+               scale_);
+  }
+
+  Tensor Ego(NodeId ego, NodeId user, NodeId query, Rng* rng,
+             std::vector<EdgeAttentionRecord>* records) const {
+    const auto fc = model_.sampler().FocalVector(g_, {user, query});
+    const RoiSubgraph roi = model_.sampler().Sample(g_, ego, fc, rng);
+    return Aggregate(roi, 0, Focal(user, query), records);
+  }
+
+ private:
+  Tensor Slots(NodeId node) const {
+    const int t = static_cast<int>(g_.node_type(node));
+    std::vector<Tensor> rows;
+    const auto s = g_.slots(node);
+    for (size_t i = 0; i < s.size(); ++i) {
+      rows.push_back(Rows(tables_[t][i], {s[i]}));
+    }
+    return StackRows(rows);
+  }
+
+  const ZoomerModel& model_;
+  ZoomerConfig cfg_;
+  const HeteroGraph& g_;
+  std::array<std::vector<Tensor>, graph::kNumNodeTypes> tables_;
+  std::array<Tensor, graph::kNumNodeTypes> type_w_, type_b_;
+  std::vector<Tensor> hop_w_, hop_b_;
+  Tensor a_, uq_w_, uq_b_, item_w_, item_b_, scale_;
+};
+
+std::vector<uint32_t> Bits(const Tensor& t) {
+  std::vector<uint32_t> bits(static_cast<size_t>(t.size()));
+  std::memcpy(bits.data(), t.data(), bits.size() * sizeof(uint32_t));
+  return bits;
+}
+
+// The five Fig. 8 variants on the tiny config, plus the full model with a
+// node budget that cuts ROIs short (leaves above the last hop, parents with
+// children of one type only).
+std::vector<ZoomerConfig> AllVariantConfigs() {
+  std::vector<ZoomerConfig> configs;
+  for (int v = 0; v < 6; ++v) {
+    ZoomerConfig cfg = v == 4 ? ZoomerConfig::Gcn() : TinyConfig();
+    cfg.hidden_dim = 8;
+    cfg.sampler.k = 4;
+    cfg.sampler.num_hops = 2;
+    cfg.seed = 2 + v;
+    if (v == 1) cfg.use_semantic_attention = false;  // Zoomer-FE
+    if (v == 2) cfg.use_edge_attention = false;      // Zoomer-FS
+    if (v == 3) cfg.use_feature_projection = false;  // Zoomer-ES
+    if (v == 5) cfg.sampler.max_nodes = 7;
+    configs.push_back(cfg);
+  }
+  return configs;
+}
+
+TEST(ZoomerModelTest, BatchedForwardEqualsPerNodeRecursionBitForBit) {
+  auto ds = TinyDataset();
+  for (const ZoomerConfig& cfg : AllVariantConfigs()) {
+    ZoomerModel model(&ds.graph, cfg);
+    RecursiveReference ref(model);
+    for (uint64_t e = 0; e < 24; ++e) {
+      SCOPED_TRACE(cfg.VariantName() + " max_nodes " +
+                   std::to_string(cfg.sampler.max_nodes) + " example " +
+                   std::to_string(e));
+      const auto& ex = ds.train[e];
+      Rng r1(100 + e), r2(100 + e);
+      EXPECT_EQ(Bits(model.ScoreLogit(ex, &r1)), Bits(ref.ScoreLogit(ex, &r2)));
+      EXPECT_EQ(Bits(model.UserQueryEmbedding(ex.user, ex.query, &r1)),
+                Bits(ref.UserQuery(ex.user, ex.query, &r2)));
+      for (NodeId ego : {ex.user, ex.query, ex.item}) {
+        std::vector<EdgeAttentionRecord> want;
+        EXPECT_EQ(Bits(model.EgoEmbedding(ego, ex.user, ex.query, &r1)),
+                  Bits(ref.Ego(ego, ex.user, ex.query, &r2, &want)));
+        const auto got = model.ExplainEdgeWeights(ego, ex.user, ex.query, &r1);
+        ref.Ego(ego, ex.user, ex.query, &r2, nullptr);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].neighbor, want[i].neighbor);
+          EXPECT_EQ(got[i].type, want[i].type);
+          EXPECT_EQ(got[i].weight, want[i].weight);
+        }
+      }
+    }
+  }
+}
+
+TEST(ZoomerModelTest, ScoreLogitGradientsMatchFiniteDifferences) {
+  // Central differences of the logit for sampled entries of every
+  // parameter (the slot tables, type maps, hop combines, edge attention
+  // vector, towers and scale) in each variant: the entry with the largest
+  // analytic gradient and two random ones.
+  auto ds = TinyDataset();
+  for (ZoomerConfig cfg : AllVariantConfigs()) {
+    if (cfg.sampler.max_nodes != ZoomerConfig().sampler.max_nodes) continue;
+    cfg.hidden_dim = 4;
+    cfg.sampler.k = 3;
+    ZoomerModel model(&ds.graph, cfg);
+    std::vector<Tensor> params = model.Parameters();
+    // Scaled away from initialization, where the towers' outputs are short
+    // (the logit is steep) and attention is near uniform (its gradients
+    // sit in float noise).
+    for (Tensor& p : params) {
+      for (int64_t i = 0; i < p.size(); ++i) p.data()[i] *= 3.0f;
+    }
+    Rng pick(31);
+    for (int e = 0; e < 3; ++e) {
+      const auto& ex = ds.train[e];
+      auto logit = [&] {
+        Rng rng(5);
+        return model.ScoreLogit(ex, &rng);
+      };
+      for (Tensor& p : params) p.ZeroGrad();
+      logit().Backward();
+      int checked_nonzero = 0;
+      for (size_t pi = 0; pi < params.size(); ++pi) {
+        Tensor& p = params[pi];
+        int64_t largest = 0;
+        for (int64_t i = 1; i < p.size(); ++i) {
+          if (std::abs(p.grad_data()[i]) > std::abs(p.grad_data()[largest])) {
+            largest = i;
+          }
+        }
+        const int64_t entries[] = {largest,
+                                   static_cast<int64_t>(pick.Uniform(p.size())),
+                                   static_cast<int64_t>(pick.Uniform(p.size()))};
+        for (int64_t i : entries) {
+          const float analytic = p.grad_data()[i];
+          const float orig = p.data()[i];
+          // The logit is steep along some parameters (gradients up to
+          // ~50) and flat along others (~1e-1 for the edge attention
+          // vector): no one step keeps every difference quotient both in
+          // its linear range and out of float noise. The entry passes if
+          // the quotient agrees with the analytic value at one of a range
+          // of steps; a wrong gradient agrees at none.
+          float best = std::numeric_limits<float>::infinity();
+          float best_numeric = 0.0f;
+          for (float h : {1e-4f, 3e-4f, 1e-3f, 3e-3f, 1e-2f, 3e-2f}) {
+            p.data()[i] = orig + h;
+            const float fp = logit().item();
+            p.data()[i] = orig - h;
+            const float fm = logit().item();
+            p.data()[i] = orig;
+            const float numeric = (fp - fm) / (2.0f * h);
+            const float error =
+                std::abs(analytic - numeric) /
+                std::max({std::abs(numeric), std::abs(analytic), 1e-3f});
+            if (error < best) {
+              best = error;
+              best_numeric = numeric;
+            }
+          }
+          EXPECT_LE(best, 2e-2f)
+              << cfg.VariantName() << " example " << e << " parameter " << pi
+              << " (" << p.ShapeString() << ") entry " << i << ": analytic "
+              << analytic << ", numeric " << best_numeric;
+          checked_nonzero += analytic != 0.0f ? 1 : 0;
+        }
+      }
+      EXPECT_GT(checked_nonzero, static_cast<int>(params.size()))
+          << cfg.VariantName() << ": most sampled gradients are zero";
+    }
   }
 }
 

@@ -335,14 +335,14 @@ TEST(FusedOpTest, GatherRowsMatchesStackedRowGathers) {
     }
     ExpectFusedMatchesChain(2000 + trial, shapes,
                             [&](const std::vector<Tensor>& in, bool fused) {
-      std::vector<Tensor> tables;
-      for (int64_t i = 0; i < n; ++i) tables.push_back(in[table_of[i]]);
       Tensor gathered;
       if (fused) {
-        gathered = GatherRows(tables, ids);
+        gathered = GatherRows(in, table_of, ids);
       } else {
         std::vector<Tensor> rows;
-        for (int64_t i = 0; i < n; ++i) rows.push_back(Rows(tables[i], {ids[i]}));
+        for (int64_t i = 0; i < n; ++i) {
+          rows.push_back(Rows(in[table_of[i]], {ids[i]}));
+        }
         gathered = ChainStackRows(rows);
       }
       return std::vector<Tensor>{gathered, Tanh(in[0])};
@@ -477,6 +477,204 @@ TEST(FusedOpTest, ConcatMatVecMatchesMatMulOfTiledConcat) {
   }
 }
 
+// --- Segmented ops against their per-segment chains ------------------------
+
+// Offsets of `segments` segments of 0 to 4 rows each: empty and one-row
+// segments included, and at least one row in all.
+std::vector<int64_t> RandomOffsets(int64_t segments, Rng* rng) {
+  std::vector<int64_t> offsets = {0};
+  for (int64_t s = 0; s < segments; ++s) {
+    offsets.push_back(offsets.back() + static_cast<int64_t>(rng->Uniform(5)));
+  }
+  if (offsets.back() == 0) offsets.back() = 1;
+  return offsets;
+}
+
+std::vector<int64_t> RowRange(int64_t begin, int64_t end) {
+  std::vector<int64_t> idx;
+  for (int64_t i = begin; i < end; ++i) idx.push_back(i);
+  return idx;
+}
+
+// The per-segment chain of a segmented op with one output row per segment:
+// row s is `segment(s, rows of s)`, or zeros for an empty segment.
+Tensor PerSegmentRows(
+    const std::vector<int64_t>& offsets, int64_t cols,
+    const std::function<Tensor(int64_t, const std::vector<int64_t>&)>&
+        segment) {
+  std::vector<Tensor> rows;
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    rows.push_back(offsets[s] == offsets[s + 1]
+                       ? Tensor::Zeros(1, cols)
+                       : segment(static_cast<int64_t>(s),
+                                 RowRange(offsets[s], offsets[s + 1])));
+  }
+  return StackRows(rows);
+}
+
+// The per-segment chain of a segmented op with one output entry per row.
+Tensor PerSegmentEntries(
+    const std::vector<int64_t>& offsets,
+    const std::function<Tensor(int64_t, const std::vector<int64_t>&)>&
+        segment) {
+  std::vector<Tensor> parts;
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    if (offsets[s] == offsets[s + 1]) continue;
+    parts.push_back(segment(static_cast<int64_t>(s),
+                            RowRange(offsets[s], offsets[s + 1])));
+  }
+  return StackRows(parts);
+}
+
+TEST(SegmentedOpTest, FocalPoolMatchesPerSegmentChain) {
+  Rng rng(111);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t d = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    // One query shared by every segment, also used by a later output.
+    ExpectFusedMatchesChain(9000 + trial, {{offsets.back(), d}, {1, d}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& h = in[0];
+      const Tensor& q = in[1];
+      Tensor pooled =
+          fused ? SegmentFocalPool(h, q, offsets, scale)
+                : PerSegmentRows(offsets, d, [&](int64_t,
+                                                 const std::vector<int64_t>& idx) {
+                    Tensor hs = Rows(h, idx);
+                    return ColSum(
+                        Mul(hs, SoftmaxColumn(ScaledRowDots(hs, q, scale))));
+                  });
+      return std::vector<Tensor>{pooled, Tanh(h), Mul(q, q)};
+    });
+  }
+}
+
+TEST(SegmentedOpTest, MeanMatchesPerSegmentMeanRows) {
+  Rng rng(112);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t m = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    ExpectFusedMatchesChain(9100 + trial, {{offsets.back(), m}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& a = in[0];
+      Tensor mean = fused ? SegmentMean(a, offsets)
+                          : PerSegmentRows(offsets, m,
+                                           [&](int64_t, const auto& idx) {
+                                             return MeanRows(Rows(a, idx));
+                                           });
+      return std::vector<Tensor>{mean, Tanh(a)};
+    });
+  }
+}
+
+TEST(SegmentedOpTest, SumMatchesPerSegmentAddChain) {
+  Rng rng(113);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t m = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    ExpectFusedMatchesChain(9200 + trial, {{offsets.back(), m}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& a = in[0];
+      Tensor sum =
+          fused ? SegmentSum(a, offsets)
+                : PerSegmentRows(offsets, m, [&](int64_t, const auto& idx) {
+                    Tensor acc = Rows(a, {idx[0]});
+                    for (size_t i = 1; i < idx.size(); ++i) {
+                      acc = Add(acc, Rows(a, {idx[i]}));
+                    }
+                    return acc;
+                  });
+      return std::vector<Tensor>{sum, Tanh(a)};
+    });
+  }
+}
+
+TEST(SegmentedOpTest, SoftmaxMatchesPerSegmentSoftmaxColumn) {
+  Rng rng(114);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t d = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    // The scores are an interior node that a later output also reads.
+    ExpectFusedMatchesChain(9300 + trial, {{offsets.back(), d}, {d, 1}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      Tensor col = MatMul(in[0], in[1]);
+      Tensor soft = fused ? SegmentSoftmax(col, offsets)
+                          : PerSegmentEntries(offsets, [&](int64_t,
+                                                           const auto& idx) {
+                              return SoftmaxColumn(Rows(col, idx));
+                            });
+      return std::vector<Tensor>{soft, Tanh(col)};
+    });
+  }
+}
+
+TEST(SegmentedOpTest, WeightedSumMatchesPerSegmentWeightedSumRows) {
+  Rng rng(115);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t m = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    // Attention-style: the weights come from the values (Relu makes some of
+    // them exactly zero), and both feed later outputs.
+    ExpectFusedMatchesChain(9400 + trial, {{offsets.back(), m}, {m, 1}},
+                            [&](const std::vector<Tensor>& in, bool fused) {
+      const Tensor& z = in[0];
+      Tensor w = Relu(MatMul(z, in[1]));
+      Tensor pooled =
+          fused ? SegmentWeightedSum(w, z, offsets)
+                : PerSegmentRows(offsets, m, [&](int64_t, const auto& idx) {
+                    return WeightedSumRows(Rows(w, idx), Rows(z, idx));
+                  });
+      return std::vector<Tensor>{pooled, Tanh(z), w};
+    });
+  }
+}
+
+TEST(SegmentedOpTest, ConcatMatVecMatchesPerSegmentConcatMatVec) {
+  Rng rng(116);
+  for (int trial = 0; trial < kDiffTrials; ++trial) {
+    const int64_t d0 = Dim(&rng), d1 = Dim(&rng), d2 = Dim(&rng);
+    const auto offsets = RandomOffsets(1 + rng.Uniform(8), &rng);
+    const int64_t segments = static_cast<int64_t>(offsets.size()) - 1;
+    // Edge-attention style: a row per segment (the parent), a row per entry
+    // (the child), a shared row (the focal vector) and a shared v, each
+    // also read by a later output.
+    ExpectFusedMatchesChain(
+        9500 + trial,
+        {{segments, d0}, {offsets.back(), d1}, {1, d2}, {d0 + d1 + d2, 1}},
+        [&](const std::vector<Tensor>& in, bool fused) {
+          const Tensor& v = in[3];
+          Tensor scores =
+              fused ? SegmentConcatMatVec(in[0], in[1], in[2], v, offsets)
+                    : PerSegmentEntries(offsets, [&](int64_t s,
+                                                     const auto& idx) {
+                        const Tensor parts[] = {Rows(in[0], {s}),
+                                                Rows(in[1], idx), in[2]};
+                        return ConcatMatVec(parts, v);
+                      });
+          return std::vector<Tensor>{LeakyRelu(scores, 0.2f), Tanh(v),
+                                     Tanh(in[0]), Tanh(in[1]), Tanh(in[2])};
+        });
+  }
+}
+
+TEST(SegmentedOpTest, EmptySegmentsGiveZeroRows) {
+  Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, 3, 2, true);
+  const std::vector<int64_t> offsets = {0, 0, 2, 2, 3};
+  for (const Tensor& out :
+       {SegmentMean(a, offsets), SegmentSum(a, offsets),
+        SegmentFocalPool(a, Tensor::FromVector({1, -1}, 1, 2), offsets, 1.0f),
+        SegmentWeightedSum(Tensor::Full(3, 1, 0.5f), a, offsets)}) {
+    ASSERT_EQ(out.rows(), 4);
+    for (int64_t s : {0, 2}) {
+      EXPECT_EQ(out.at(s, 0), 0.0f);
+      EXPECT_EQ(out.at(s, 1), 0.0f);
+    }
+    EXPECT_NE(out.at(1, 0), 0.0f);
+    EXPECT_NE(out.at(3, 0), 0.0f);
+  }
+}
+
 TEST(FusedOpTest, StackRowsAllocatesOnlyItsOutput) {
   // One node holds the k x d result; the chain it replaces copied the
   // growing prefix once per row (O(k^2 d) floats).
@@ -581,9 +779,10 @@ INSTANTIATE_TEST_SUITE_P(
                }},
         OpCase{"GatherRows",
                [](const Tensor& x) {
-                 const std::vector<int64_t> ids = {2, 0, 1, 2};
-                 return GatherRows(
-                     std::vector<Tensor>{x, FixedMat(2, 4, 15), x, x}, ids);
+                 const std::vector<int> table_of = {0, 1, 0, 0, 1};
+                 const std::vector<int64_t> ids = {2, 0, 1, 2, 1};
+                 return GatherRows(std::vector<Tensor>{x, FixedMat(2, 4, 15)},
+                                   table_of, ids);
                }},
         OpCase{"SoftmaxColumn", [](const Tensor& x) { return SoftmaxColumn(x); },
                5, 1},
@@ -633,6 +832,78 @@ INSTANTIATE_TEST_SUITE_P(
                  return ScaledRowDots(FixedMat(5, 4, 19), x, 0.7f);
                },
                1, 4},
+        OpCase{"SegmentFocalPoolRows",
+               [](const Tensor& x) {
+                 return SegmentFocalPool(x, FixedMat(1, 4, 34),
+                                         std::vector<int64_t>{0, 3, 3, 4, 7},
+                                         0.5f);
+               },
+               7, 4},
+        OpCase{"SegmentFocalPoolQuery",
+               [](const Tensor& x) {
+                 return SegmentFocalPool(FixedMat(6, 4, 35), x,
+                                         std::vector<int64_t>{0, 2, 6}, 0.5f);
+               },
+               1, 4},
+        OpCase{"SegmentMean",
+               [](const Tensor& x) {
+                 return SegmentMean(x, std::vector<int64_t>{0, 1, 1, 4, 6});
+               },
+               6, 4},
+        OpCase{"SegmentSum",
+               [](const Tensor& x) {
+                 return SegmentSum(x, std::vector<int64_t>{0, 3, 3, 4, 6});
+               },
+               6, 4},
+        OpCase{"SegmentSoftmax",
+               [](const Tensor& x) {
+                 return SegmentSoftmax(x, std::vector<int64_t>{0, 2, 2, 5, 6});
+               },
+               6, 1},
+        OpCase{"SegmentWeightedSumWeights",
+               [](const Tensor& x) {
+                 return SegmentWeightedSum(x, FixedMat(5, 4, 36),
+                                           std::vector<int64_t>{0, 2, 2, 5});
+               },
+               5, 1},
+        OpCase{"SegmentWeightedSumValues",
+               [](const Tensor& x) {
+                 return SegmentWeightedSum(FixedMat(5, 1, 37), x,
+                                           std::vector<int64_t>{0, 2, 2, 5});
+               },
+               5, 4},
+        OpCase{"SegmentConcatMatVecPerSegment",
+               [](const Tensor& x) {
+                 return SegmentConcatMatVec(x, FixedMat(5, 2, 38),
+                                            FixedMat(1, 3, 39),
+                                            FixedMat(9, 1, 40),
+                                            std::vector<int64_t>{0, 3, 3, 5});
+               },
+               3, 4},
+        OpCase{"SegmentConcatMatVecPerRow",
+               [](const Tensor& x) {
+                 return SegmentConcatMatVec(FixedMat(3, 2, 41), x,
+                                            FixedMat(1, 3, 42),
+                                            FixedMat(9, 1, 43),
+                                            std::vector<int64_t>{0, 3, 3, 5});
+               },
+               5, 4},
+        OpCase{"SegmentConcatMatVecShared",
+               [](const Tensor& x) {
+                 return SegmentConcatMatVec(FixedMat(3, 2, 44),
+                                            FixedMat(5, 3, 45), x,
+                                            FixedMat(9, 1, 46),
+                                            std::vector<int64_t>{0, 3, 3, 5});
+               },
+               1, 4},
+        OpCase{"SegmentConcatMatVecVector",
+               [](const Tensor& x) {
+                 return SegmentConcatMatVec(FixedMat(3, 2, 47),
+                                            FixedMat(5, 3, 48),
+                                            FixedMat(1, 4, 49), x,
+                                            std::vector<int64_t>{0, 3, 3, 5});
+               },
+               9, 1},
         OpCase{"SquaredNorm", [](const Tensor& x) { return SquaredNorm(x); }},
         OpCase{"BceWithLogits",
                [](const Tensor& x) {
