@@ -297,10 +297,6 @@ void IngestPipeline::ConsumerLoop(int shard) {
            queue.TryPop(&qe)) {
       batch.push_back(std::move(qe.ev));
     }
-    // A short batch means TryPop hit an empty queue — the shard is caught
-    // up, so its freshness lag drops to 0 after this apply.
-    const bool queue_drained =
-        static_cast<int>(batch.size()) < options_.batch_size;
     // Quiescence gate: a compaction in progress holds consumers here, with
     // the collected batch intact (it has no epoch yet), until EndQuiesce.
     {
@@ -308,7 +304,7 @@ void IngestPipeline::ConsumerLoop(int shard) {
       quiesce_cv_.wait(lock, [this] { return quiesce_requests_ == 0; });
       ++active_applies_;
     }
-    CutBatch(shard, std::move(batch), oldest_offer_us, queue_drained);
+    CutBatch(shard, std::move(batch), oldest_offer_us);
     {
       std::lock_guard<std::mutex> lock(quiesce_mu_);
       --active_applies_;
@@ -332,7 +328,7 @@ void IngestPipeline::EndQuiesce() {
 }
 
 void IngestPipeline::CutBatch(int shard, std::vector<EdgeEvent> events,
-                              int64_t oldest_offer_us, bool queue_drained) {
+                              int64_t oldest_offer_us) {
   obs::TraceSpan span("ingest_batch");
   const int64_t n = static_cast<int64_t>(events.size());
   span.set_attr(n);
@@ -367,24 +363,33 @@ void IngestPipeline::CutBatch(int shard, std::vector<EdgeEvent> events,
     engine_->PublishDelta(shard, batch.epoch);
   }
   batches_.Add(1);
-  events_applied_.Add(n);
 
   // Freshness telemetry: end-to-end age of the batch's oldest event at
-  // apply completion. A drained queue means the shard is caught up — its
-  // lag gauge reads 0 until the next backlog builds.
+  // apply completion. A queue found empty after the apply means the shard
+  // is caught up: its lag gauge reads 0 until the next backlog builds.
   const int64_t lag_us = obs::MonotonicMicros() - oldest_offer_us;
   batch_latency_us_->Record(lag_us);
-  freshness_lag_[shard]->Set(queue_drained ? 0.0
-                                           : static_cast<double>(lag_us));
+  const bool caught_up = queues_[shard]->size() == 0;
+  // The gauges and the applied count move together under freshness_mu_:
+  // two consumers cannot interleave their read of the maximum with its
+  // store, and Flush(), which reads the counts under the same lock, sees
+  // the gauges of every batch it waited for.
+  std::lock_guard<std::mutex> lock(freshness_mu_);
+  freshness_lag_[shard]->Set(caught_up ? 0.0 : static_cast<double>(lag_us));
   double max_lag = 0.0;
   for (const auto& gauge : freshness_lag_) {
     max_lag = std::max(max_lag, gauge->Value());
   }
   freshness_lag_max_.Set(max_lag);
+  events_applied_.Add(n);
 }
 
 void IngestPipeline::Flush() {
-  while (events_applied_.Value() < events_offered_.Value()) {
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(freshness_mu_);
+      if (events_applied_.Value() >= events_offered_.Value()) return;
+    }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }

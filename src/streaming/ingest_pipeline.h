@@ -153,7 +153,7 @@ class IngestPipeline : public CompactionParticipant {
 
   void ConsumerLoop(int shard);
   void CutBatch(int shard, std::vector<EdgeEvent> events,
-                int64_t oldest_offer_us, bool queue_drained);
+                int64_t oldest_offer_us);
   void RegisterMetrics();
 
   GraphDeltaLog* log_;
@@ -187,11 +187,16 @@ class IngestPipeline : public CompactionParticipant {
   obs::Counter rejected_unknown_node_total_;
   obs::Counter rejected_capacity_total_;
   /// Per-shard freshness lag gauge: age (µs) of the oldest event the
-  /// shard's most recent batch applied, 0 once the shard drained its queue.
+  /// shard's most recent batch applied, 0 when its queue was empty after
+  /// that apply.
   std::vector<std::unique_ptr<obs::Gauge>> freshness_lag_;
   /// Max over shards, refreshed at every apply (the scrape-friendly
   /// aggregate "streaming.freshness_lag_us").
   obs::Gauge freshness_lag_max_;
+  /// Held by consumers while they set the freshness gauges and count the
+  /// batch applied, and by Flush() while it compares the counts. Gauge
+  /// readers never take it.
+  std::mutex freshness_mu_;
   /// Registry-owned shared histograms (hot-path latencies).
   obs::Histogram* batch_latency_us_;     // offer -> applied, per batch
   obs::Histogram* node_mint_latency_us_; // OfferNewNode end-to-end

@@ -1,7 +1,10 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <new>
 #include <span>
 #include <type_traits>
@@ -325,6 +328,15 @@ void Tensor::Backward() {
 
 namespace {
 
+// a * b rounded to T before it is added anywhere: s starts at zero, so a
+// contracted multiply-add rounds it once, as a stored product is.
+template <typename T>
+inline T RoundedProduct(T a, T b) {
+  T s = 0;
+  s += a * b;
+  return s;
+}
+
 // od (n x m, zeroed) += a (n x k) · b (k x m), skipping zero entries of a.
 void MatMulInto(const float* ad, const float* bd, float* od, int64_t n,
                 int64_t k, int64_t m) {
@@ -359,23 +371,49 @@ void RowDots(const float* hd, const float* qd, int64_t n, int64_t d,
   }
 }
 
+// ga (n x k) += g (n x m) · bᵀ for b (k x m): the dA = G · Bᵀ of every
+// product op. Entry (i, p) adds g[i,j] · b[p,j] summed from zero over j in
+// order, each product rounded before it is added, so the bits do not depend
+// on how the compiler vectorizes or contracts the loop. Each row of g
+// updates all k sums at once from a transposed copy of b: k independent
+// lanes instead of k chains bound by add latency. A single row of g (the
+// weight gradients of the weighted sums) reads b in place: there the copy
+// would cost as much as the sums.
+void AddTimesTransposed(const float* g, const float* b, int64_t n, int64_t k,
+                        int64_t m, float* ga) {
+  if (n == 1) {
+    for (int64_t p = 0; p < k; ++p) {
+      const float* brow = b + p * m;
+      float s = 0.0f;
+      for (int64_t j = 0; j < m; ++j) s += RoundedProduct(g[j], brow[j]);
+      ga[p] += s;
+    }
+    return;
+  }
+  thread_local std::vector<float> scratch;
+  scratch.resize(static_cast<size_t>((m + 1) * k));
+  float* __restrict bt = scratch.data();
+  float* __restrict acc = bt + m * k;
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < m; ++j) bt[j * k + p] = b[p * m + j];
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const float* grow = g + i * m;
+    std::fill(acc, acc + k, 0.0f);
+    for (int64_t j = 0; j < m; ++j) {
+      const float gj = grow[j];
+      const float* btrow = bt + j * k;
+      for (int64_t p = 0; p < k; ++p) acc[p] += RoundedProduct(gj, btrow[p]);
+    }
+    float* garow = ga + i * k;
+    for (int64_t p = 0; p < k; ++p) garow[p] += acc[p];
+  }
+}
+
 // Adds the gradients of C = A · B, given dC = g, into A and B.
 void MatMulBackward(TensorImpl* ai, TensorImpl* bi, const float* g,
                     int64_t n, int64_t k, int64_t m) {
-  if (ai->requires_grad) {
-    // dA = G · B^T : (n,m)x(m,k)
-    const float* bd2 = bi->data;
-    float* ga = ai->grad;
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t p = 0; p < k; ++p) {
-        float s = 0.0f;
-        const float* grow = g + i * m;
-        const float* brow = bd2 + p * m;
-        for (int64_t j = 0; j < m; ++j) s += grow[j] * brow[j];
-        ga[i * k + p] += s;
-      }
-    }
-  }
+  if (ai->requires_grad) AddTimesTransposed(g, bi->data, n, k, m, ai->grad);
   if (bi->requires_grad) {
     // dB = A^T · G : (k,n)x(n,m)
     const float* ad2 = ai->data;
@@ -694,8 +732,57 @@ Tensor Sigmoid(const Tensor& a) {
       [](float y, float /*x*/) { return y * (1.0f - y); });
 }
 
+namespace {
+
+int32_t Bits(float x) { return std::bit_cast<int32_t>(x); }
+
+// tanh(x) correctly rounded to float (checked against double std::tanh over
+// every float), so odd and non-decreasing, and NaN for NaN. It evaluates
+// tanh(a) = m/(m + 2), m = e^{2a} − 1, in double for a = |x| clamped at 10
+// (tanh is 1 in float from 9.02 on, and e^20 is far from overflow):
+// e^t − 1 = 2^n·(e^r − 1) + (2^n − 1) for n = round(t/ln2), with e^r − 1 by
+// its Taylor polynomial through r^12 on |r| <= ln2/2. Nothing cancels, so
+// one formula serves tiny and large x alike. Every product is rounded in
+// source, so a float gives the same bits on every ISA and with every libm,
+// and nothing branches (NaN is picked by an integer mask on the bits of a,
+// which order like the values with NaN above infinity), so a loop over it
+// vectorizes.
+float TanhKernel(float x) {
+  const int32_t abits = Bits(std::fabs(x));
+  const double a = std::bit_cast<float>(std::min(abits, Bits(10.0f)));
+  const double t = a + a;
+  // Adding 1.5·2^52 rounds to an integer n, held in the low bits.
+  constexpr double kToInteger = 6755399441055744.0;
+  const double n_biased = RoundedProduct(t, 1.4426950408889634) + kToInteger;
+  const double n = n_biased - kToInteger;
+  // ln2 in two parts; n times the first, with 32 trailing zero bits, is exact.
+  const double r = (t - RoundedProduct(n, 6.93147180369123816490e-01)) -
+                   RoundedProduct(n, 1.90821492927058770002e-10);
+  double q = 1.0 / 479001600.0;  // 1/12!
+  for (double c : {1.0 / 39916800.0, 1.0 / 3628800.0, 1.0 / 362880.0,
+                   1.0 / 40320.0, 1.0 / 5040.0, 1.0 / 720.0, 1.0 / 120.0,
+                   1.0 / 24.0, 1.0 / 6.0, 0.5}) {
+    q = RoundedProduct(q, r) + c;
+  }
+  const double expm1_r = RoundedProduct(q, RoundedProduct(r, r)) + r;
+  const double two_n = std::bit_cast<double>(
+      (std::bit_cast<uint64_t>(n_biased) + 1023) << 52);
+  const double m = RoundedProduct(two_n, expm1_r) + (two_n - 1.0);
+  const int32_t magnitude = Bits(static_cast<float>(m / (m + 2.0)));
+
+  const int32_t is_nan =
+      (Bits(std::numeric_limits<float>::infinity()) - abits) >> 31;
+  const int32_t xbits = Bits(x);
+  return std::bit_cast<float>(
+      ((magnitude | (xbits & std::numeric_limits<int32_t>::min())) &
+       ~is_nan) |
+      (xbits & is_nan));
+}
+
+}  // namespace
+
 Tensor Tanh(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return std::tanh(x); },
+  return ElementwiseUnary(a, [](float x) { return TanhKernel(x); },
                           [](float y, float /*x*/) { return 1.0f - y * y; });
 }
 
@@ -981,13 +1068,9 @@ Tensor WeightedSumRows(const Tensor& w, const Tensor& z) {
           for (int64_t j = 0; j < m; ++j) gz[j] += av * g[j];
         }
       }
+      // w's gradient is the chain's dA of Transpose(w) · z.
       if (wi->requires_grad) {
-        for (int64_t p = 0; p < k; ++p) {
-          const float* zrow = zi->data + p * m;
-          float s = 0.0f;
-          for (int64_t j = 0; j < m; ++j) s += g[j] * zrow[j];
-          wi->grad[p] += s;
-        }
+        AddTimesTransposed(g, zi->data, 1, k, m, wi->grad);
       }
     });
   }
@@ -1145,14 +1228,6 @@ void* SaveOffsets(TensorImpl* out, std::span<const int64_t> offsets) {
   int64_t* saved = static_cast<int64_t*>(out->aux);
   std::copy(offsets.begin(), offsets.end(), saved);
   return saved + offsets.size();
-}
-
-// a * b rounded to float before it is added anywhere: s starts at zero, so
-// a contracted multiply-add rounds it once, as a stored product is.
-inline float RoundedProduct(float a, float b) {
-  float s = 0.0f;
-  s += a * b;
-  return s;
 }
 
 }  // namespace
@@ -1395,12 +1470,8 @@ Tensor SegmentWeightedSum(const Tensor& w, const Tensor& z,
           }
         }
         if (wi->requires_grad) {
-          for (int64_t p = off[s]; p < off[s + 1]; ++p) {
-            const float* zrow = zi->data + p * m;
-            float acc = 0.0f;
-            for (int64_t j = 0; j < m; ++j) acc += g[j] * zrow[j];
-            wi->grad[p] += acc;
-          }
+          AddTimesTransposed(g, zi->data + off[s] * m, 1, off[s + 1] - off[s],
+                             m, wi->grad + off[s]);
         }
       }
     });

@@ -43,6 +43,10 @@
 //       where the chain rounded a product into a buffer before adding it,
 //       the fused loop does too, so FMA contraction under -march=native
 //       rounds exactly as it did.
+//    The dA = G·Bᵀ of MatMul, Affine and the weights of WeightedSumRows and
+//    SegmentWeightedSum is one routine whose rounding is stated in source:
+//    each entry sums its products from zero in order, each product rounded
+//    to float before it is added, on every ISA.
 //  - Segmented ops. SegmentFocalPool, SegmentMean, SegmentSum,
 //    SegmentSoftmax, SegmentWeightedSum and SegmentConcatMatVec run one op
 //    chain over every segment of their rows (the slot rows of each ROI
@@ -287,7 +291,9 @@ Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
 /// Elementwise sigmoid.
 Tensor Sigmoid(const Tensor& a);
-/// Elementwise tanh.
+/// Elementwise tanh by the library's own vectorized kernel, not libm: every
+/// float maps to tanh correctly rounded (within 2 ulp is the contract), the
+/// same bits on every ISA and with every libm. Backward uses 1 − y².
 Tensor Tanh(const Tensor& a);
 /// Elementwise ReLU.
 Tensor Relu(const Tensor& a);

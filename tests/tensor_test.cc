@@ -3,11 +3,13 @@
 // optimizer convergence tests and a small end-to-end learning test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -672,6 +674,215 @@ TEST(SegmentedOpTest, EmptySegmentsGiveZeroRows) {
     }
     EXPECT_NE(out.at(1, 0), 0.0f);
     EXPECT_NE(out.at(3, 0), 0.0f);
+  }
+}
+
+// --- dA = G · Bᵀ: every product rounded, summed in order ------------------
+//
+// MatMul, Affine, WeightedSumRows (the weights) and SegmentWeightedSum (the
+// weights) share one dA routine whose bits are fixed by the source, not by
+// how the compiler vectorizes it: entry (i, p) is g[i,·] · b[p,·] summed
+// from zero over j in order, each product rounded to float before it is
+// added. Each test backpropagates sum(out ⊙ G), so out's gradient is G, and
+// compares the input's gradient with that sum computed here.
+
+// Σ_j g[j]·b[j] from zero in j order, each product rounded to float before
+// it is added: a volatile product cannot be contracted into the add.
+float RoundedProductSum(const float* g, const float* b, int64_t m) {
+  float s = 0.0f;
+  for (int64_t j = 0; j < m; ++j) {
+    const volatile float product = g[j] * b[j];
+    s += product;
+  }
+  return s;
+}
+
+// ga (n x k) of G (n x m) · Bᵀ for b (k x m), as bits.
+std::vector<uint32_t> ReferenceDa(const Tensor& g, const Tensor& b) {
+  std::vector<float> ga;
+  for (int64_t i = 0; i < g.rows(); ++i) {
+    for (int64_t p = 0; p < b.rows(); ++p) {
+      ga.push_back(RoundedProductSum(g.data() + i * g.cols(),
+                                     b.data() + p * b.cols(), g.cols()));
+    }
+  }
+  return BitsOf(ga.data(), static_cast<int64_t>(ga.size()));
+}
+
+// Backpropagates sum(out ⊙ g) and returns x's gradient as bits.
+std::vector<uint32_t> GradBits(const Tensor& out, const Tensor& g, Tensor x) {
+  SumAll(Mul(out, g)).Backward();
+  return BitsOf(x.grad_data(), x.size());
+}
+
+// Shapes with every m in 1..40 (so every vector remainder), n and k in
+// 1..40 with n = 1 and k = 1 each in a quarter of the trials, and about a
+// quarter of every input's entries exactly zero.
+struct DaShape {
+  int64_t n, k, m;
+};
+std::vector<DaShape> DaShapes() {
+  Rng rng(117);
+  std::vector<DaShape> shapes;
+  for (int64_t m = 1; m <= 40; ++m) {
+    const int64_t n = m % 4 == 1 ? 1 : Dim(&rng);
+    const int64_t k = m % 4 == 2 ? 1 : Dim(&rng);
+    shapes.push_back({n, k, m});
+  }
+  return shapes;
+}
+
+TEST(ProductGradTest, MatMulAndAffineRoundEveryProductOfDa) {
+  Rng rng(118);
+  for (const auto& [n, k, m] : DaShapes()) {
+    SCOPED_TRACE(testing::Message() << n << "x" << k << " . " << k << "x" << m);
+    Tensor a = SparseRandom(n, k, &rng, true);
+    Tensor b = SparseRandom(k, m, &rng, true);
+    Tensor bias = SparseRandom(1, m, &rng, true);
+    Tensor g = SparseRandom(n, m, &rng, false);
+    const std::vector<uint32_t> want = ReferenceDa(g, b);
+    EXPECT_EQ(GradBits(MatMul(a, b), g, a), want);
+    a.ZeroGrad();
+    EXPECT_EQ(GradBits(Affine(a, b, bias), g, a), want);
+  }
+}
+
+TEST(ProductGradTest, WeightedSumsRoundEveryProductOfTheWeightGradient) {
+  Rng rng(119);
+  for (const auto& [n, k, m] : DaShapes()) {
+    SCOPED_TRACE(testing::Message() << k << " rows of " << m);
+    Tensor w = SparseRandom(k, 1, &rng, true);
+    Tensor z = SparseRandom(k, m, &rng, true);
+    Tensor g = SparseRandom(1, m, &rng, false);
+    EXPECT_EQ(GradBits(WeightedSumRows(w, z), g, w), ReferenceDa(g, z));
+
+    // Segments of 0-4 rows: each segment's weights take dA of its own
+    // gradient row and rows of z.
+    const std::vector<int64_t> offsets = RandomOffsets(n, &rng);
+    const int64_t rows = offsets.back();
+    Tensor sw = SparseRandom(rows, 1, &rng, true);
+    Tensor sz = SparseRandom(rows, m, &rng, true);
+    Tensor sg = SparseRandom(n, m, &rng, false);
+    std::vector<uint32_t> want;
+    for (int64_t s = 0; s < n; ++s) {
+      for (int64_t p = offsets[s]; p < offsets[s + 1]; ++p) {
+        const float v = RoundedProductSum(sg.data() + s * m,
+                                          sz.data() + p * m, m);
+        want.push_back(BitsOf(&v, 1)[0]);
+      }
+    }
+    EXPECT_EQ(GradBits(SegmentWeightedSum(sw, sz, offsets), sg, sw), want);
+  }
+}
+
+// --- Tanh: the library's own kernel ----------------------------------------
+
+std::vector<float> TanhOf(const std::vector<float>& xs) {
+  Tensor out =
+      Tanh(Tensor::FromVector(xs, 1, static_cast<int64_t>(xs.size())));
+  return std::vector<float>(out.data(), out.data() + out.size());
+}
+
+// A strided sweep of [-10, 10], every float in [0.6, 0.65], and tiny values
+// down to the smallest subnormal.
+std::vector<float> TanhSweep() {
+  std::vector<float> xs;
+  for (int i = -100000; i <= 100000; ++i) xs.push_back(i * 1e-4f);
+  for (float x = 0.6f; x <= 0.65f; x = std::nextafter(x, 1.0f)) {
+    xs.push_back(x);
+  }
+  for (int e = -149; e < 0; ++e) {
+    for (float f : {1.0f, 1.3f, 1.7f}) xs.push_back(std::ldexp(f, e));
+  }
+  return xs;
+}
+
+// |got − want| in units of the float spacing at want (nonzero want).
+double UlpError(float got, double want) {
+  const int e = std::max(std::ilogb(want) - 23, -149);
+  return std::abs(static_cast<double>(got) - want) / std::ldexp(1.0, e);
+}
+
+TEST(TanhTest, CorrectlyRoundedAgainstDoubleTanh) {
+  const std::vector<float> xs = TanhSweep();
+  const std::vector<float> ys = TanhOf(xs);
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const double want = std::tanh(static_cast<double>(xs[i]));
+    if (want == 0.0) {
+      EXPECT_EQ(ys[i], 0.0f);
+      continue;
+    }
+    const double err = UlpError(ys[i], want);
+    if (err > worst) {
+      worst = err;
+      worst_x = xs[i];
+    }
+  }
+  // The library promises 2 ulp; this kernel rounds a double evaluation,
+  // so it is off by no more than the rounding itself.
+  EXPECT_LE(worst, 2.0) << "at x = " << worst_x;
+  EXPECT_LE(worst, 0.5 + 1e-6) << "at x = " << worst_x;
+}
+
+TEST(TanhTest, OddBoundedMonotoneAndSpecialValues) {
+  std::vector<float> xs = TanhSweep();
+  for (float& x : xs) x = std::abs(x);
+  std::sort(xs.begin(), xs.end());
+  std::vector<float> negated(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) negated[i] = -xs[i];
+  const std::vector<float> ys = TanhOf(xs);
+  const std::vector<float> neg = TanhOf(negated);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(BitsOf(&neg[i], 1)[0], BitsOf(&ys[i], 1)[0] ^ 0x80000000u)
+        << "tanh(-x) != -tanh(x) at x = " << xs[i];
+    ASSERT_LE(std::abs(ys[i]), 1.0f) << xs[i];
+    if (i > 0) ASSERT_GE(ys[i], ys[i - 1]) << "decreases at x = " << xs[i];
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float max = std::numeric_limits<float>::max();
+  const std::vector<float> special = TanhOf({0.0f, -0.0f, inf, -inf, nan,
+                                             max, -max, 1e-45f, -1e-45f});
+  EXPECT_EQ(BitsOf(&special[0], 1)[0], 0x00000000u);  // +0
+  EXPECT_EQ(BitsOf(&special[1], 1)[0], 0x80000000u);  // -0
+  EXPECT_EQ(special[2], 1.0f);
+  EXPECT_EQ(special[3], -1.0f);
+  EXPECT_TRUE(std::isnan(special[4]));
+  EXPECT_EQ(special[5], 1.0f);
+  EXPECT_EQ(special[6], -1.0f);
+  EXPECT_EQ(special[7], 1e-45f);
+  EXPECT_EQ(special[8], -1e-45f);
+}
+
+TEST(TanhTest, GoldenBitsOnEveryIsa) {
+  // tanh of each input correctly rounded to float, computed in double
+  // precision apart from this library. The native and the portable build
+  // both run this test, so a float gives these bits on either ISA.
+  const std::pair<float, uint32_t> golden[] = {
+      {1e-30f, 0x0da24260u},      {1e-8f, 0x322bcc77u},
+      {0.001f, 0x3a83126cu},      {0.0078125f, 0x3bfffeabu},
+      {0.015f, 0x3c75bdd7u},      {0.015625f, 0x3c7ffaabu},
+      {0.0156250019f, 0x3c7ffaadu}, {0.02f, 0x3ca3d173u},
+      {0.05f, 0x3d4ca127u},       {0.0615695305f, 0x3d7bdee1u},
+      {0.1f, 0x3dcc1ebcu},        {0.25f, 0x3e7acbf5u},
+      {0.333333343f, 0x3ea49d52u}, {0.5f, 0x3eec9a9fu},
+      {0.6f, 0x3f097c15u},        {0.625f, 0x3f0dfa3fu},
+      {0.7f, 0x3f1ab7d9u},        {0.9f, 0x3f375f4cu},
+      {1.0f, 0x3f42f7d6u},        {1.25f, 0x3f59291eu},
+      {1.5f, 0x3f67b7ccu},        {2.0f, 0x3f76ca83u},
+      {2.5f, 0x3f7c92c1u},        {3.0f, 0x3f7ebbe9u},
+      {4.0f, 0x3f7fd40cu},        {5.5f, 0x3f7ffdd0u},
+      {7.0f, 0x3f7fffe4u},        {8.0f, 0x3f7ffffcu},
+      {8.75f, 0x3f7fffffu},       {9.0f, 0x3f7fffffu},
+      {9.02f, 0x3f800000u},       {12.0f, 0x3f800000u},
+  };
+  std::vector<float> xs;
+  for (const auto& [x, bits] : golden) xs.push_back(x);
+  const std::vector<float> ys = TanhOf(xs);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(BitsOf(&ys[i], 1)[0], golden[i].second) << "x = " << xs[i];
   }
 }
 
