@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/metric_sink.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "data/session_stream.h"
@@ -43,30 +44,6 @@ using graph::NodeId;
 struct BenchConfig {
   bool smoke = false;     // tiny iteration counts for the CI smoke run
   std::string json_path;  // "" = no JSON artifact
-};
-
-/// Flat (name, value) metric sink serialized as one JSON object; names use
-/// unit suffixes so the artifact is self-describing.
-class MetricSink {
- public:
-  void Record(const std::string& name, double value) {
-    metrics_.emplace_back(name, value);
-  }
-  bool WriteJson(const std::string& path, bool smoke) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"bench\": \"fig10_scalability\",\n");
-    std::fprintf(f, "  \"smoke\": %s", smoke ? "true" : "false");
-    for (const auto& [name, value] : metrics_) {
-      std::fprintf(f, ",\n  \"%s\": %.6g", name.c_str(), value);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> metrics_;
 };
 
 const char* ScaleKey(GraphScale s) {
@@ -93,7 +70,7 @@ std::vector<NodeId> QueriesWithEdges(const graph::HeteroGraph& g,
 
 int Run(const BenchConfig& cfg) {
   std::printf("=== Fig. 10: scalability%s ===\n", cfg.smoke ? " (smoke)" : "");
-  MetricSink sink;
+  MetricSink sink("fig10_scalability");
 
   // ---- 1. Training time to AUC = 0.6 vs graph scale -----------------------
   std::printf("\ntraining time to AUC=0.6 vs graph scale\n");

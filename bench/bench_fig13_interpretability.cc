@@ -84,7 +84,7 @@ int main() {
     std::printf("no sufficiently active user found\n");
     return 1;
   }
-  auto items_span = ds.graph.NeighborsOfType(user, graph::NodeType::kItem);
+  auto items_span = ds.graph.NeighborsOfType(user, graph::NodeType::kItem).ids;
   std::vector<graph::NodeId> items(items_span.begin(),
                                    items_span.begin() + 8);
   std::vector<graph::NodeId> queries;
@@ -128,7 +128,8 @@ int main() {
     std::printf("no sufficiently connected query found\n");
     return 1;
   }
-  auto qitems_span = ds.graph.NeighborsOfType(query, graph::NodeType::kItem);
+  auto qitems_span =
+      ds.graph.NeighborsOfType(query, graph::NodeType::kItem).ids;
   std::vector<graph::NodeId> qitems(qitems_span.begin(),
                                     qitems_span.begin() + 9);
   std::printf("\n(b) fixed query q%lld: rows = focal users, cols = 9 item\n"

@@ -113,8 +113,9 @@ void Fig4c() {
     for (int u = 0; u < 10; ++u) {
       const graph::NodeId user = static_cast<graph::NodeId>(
           rng.Uniform(ds.graph.num_nodes_of_type(graph::NodeType::kUser)));
-      auto queries = ds.graph.NeighborsOfType(user, graph::NodeType::kQuery);
-      auto items = ds.graph.NeighborsOfType(user, graph::NodeType::kItem);
+      auto queries =
+          ds.graph.NeighborsOfType(user, graph::NodeType::kQuery).ids;
+      auto items = ds.graph.NeighborsOfType(user, graph::NodeType::kItem).ids;
       if (queries.empty() || items.empty()) continue;
       const graph::NodeId q = queries[rng.Uniform(queries.size())];
       std::vector<float> focal(d);

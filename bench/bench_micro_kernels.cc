@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/metric_sink.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/roi_sampler.h"
@@ -59,37 +60,13 @@ struct BenchConfig {
   std::string json_path;  // "" = no JSON artifact
 };
 
-/// Flat (name, value) metric sink serialized as one JSON object; names use
-/// unit suffixes so the artifact is self-describing.
-class MetricSink {
- public:
-  void Record(const std::string& name, double value) {
-    metrics_.emplace_back(name, value);
-  }
-  bool WriteJson(const std::string& path, bool smoke) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"bench\": \"micro_kernels\",\n");
-    std::fprintf(f, "  \"smoke\": %s", smoke ? "true" : "false");
-    for (const auto& [name, value] : metrics_) {
-      std::fprintf(f, ",\n  \"%s\": %.6g", name.c_str(), value);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> metrics_;
-};
-
 int64_t g_sink = 0;  // defeat dead-code elimination across sections
 
 }  // namespace
 
 int Run(const BenchConfig& cfg) {
   std::printf("=== Micro-kernel benchmark%s ===\n", cfg.smoke ? " (smoke)" : "");
-  MetricSink sink;
+  MetricSink sink("micro_kernels");
   const auto& ds_opt = ScaleOptions(GraphScale::kMillion, 3);
   auto ds = data::GenerateTaobaoDataset(ds_opt);
   std::printf("graph: %s\n", ds.graph.DebugString().c_str());
@@ -286,7 +263,7 @@ int Run(const BenchConfig& cfg) {
 
     // Secondary: the same schedule on the immutable CSR (no snapshot or
     // lock traffic on either side — isolates prefetch + SampleBatch).
-    graph::CsrGraphView view(ds.graph);
+    const graph::GraphView& view = ds.graph;
     auto static_single = [&](int tid) {
       Rng rng(100 + tid);
       int64_t local = 0;

@@ -1,5 +1,5 @@
 // Durability / crash-recovery benchmark for the persist layer
-// (src/persist/): checkpointed SegmentedCsr + WAL replay. Reports
+// (src/persist/): checkpointed segmented base + WAL replay. Reports
 //   1. recovery time vs graph size: ingest, fold, checkpoint, keep
 //      ingesting a WAL tail, then RecoverFrom a cold directory — at three
 //      graph scales,
@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/metric_sink.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/roi_sampler.h"
@@ -60,29 +61,6 @@ constexpr int kShards = 2;
 struct BenchConfig {
   bool smoke = false;          // tiny iteration counts for the CI smoke run
   std::string json_path;       // "" = no JSON artifact
-};
-
-/// Flat (name, value) metric sink serialized as one JSON object.
-class MetricSink {
- public:
-  void Record(const std::string& name, double value) {
-    metrics_.emplace_back(name, value);
-  }
-  bool WriteJson(const std::string& path, bool smoke) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"bench\": \"recovery\",\n");
-    std::fprintf(f, "  \"smoke\": %s", smoke ? "true" : "false");
-    for (const auto& [name, value] : metrics_) {
-      std::fprintf(f, ",\n  \"%s\": %.6g", name.c_str(), value);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> metrics_;
 };
 
 /// Smallest power-of-two span giving the graph at least ~16 segments.
@@ -255,7 +233,7 @@ CaseResult RunRecoveryCase(const std::string& dir, int num_items,
 
 int Run(const BenchConfig& cfg) {
   std::printf("=== Recovery benchmark%s ===\n", cfg.smoke ? " (smoke)" : "");
-  MetricSink sink;
+  MetricSink sink("recovery");
   const std::string root =
       (fs::temp_directory_path() / "zoomer_bench_recovery").string();
   bool all_identical = true;

@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/metric_sink.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/roi_sampler.h"
@@ -86,11 +87,11 @@ std::vector<NodeId> NodesOfTypeWithEdges(const graph::HeteroGraph& g,
   return all;
 }
 
-/// Works over any CSR-shaped graph exposing SampleNeighbor (the offline
-/// HeteroGraph and the dynamic graph's SegmentedCsr base).
-template <typename Csr>
-double TimeStaticSampling(const Csr& g, const std::vector<NodeId>& nodes,
-                          int draws, uint64_t seed) {
+/// Alias draws straight off a CSR: the offline one-segment graph or the
+/// dynamic graph's repartitioned base.
+double TimeStaticSampling(const graph::HeteroGraph& g,
+                          const std::vector<NodeId>& nodes, int draws,
+                          uint64_t seed) {
   Rng rng(seed);
   WallTimer timer;
   int64_t sink = 0;
@@ -133,36 +134,12 @@ struct BenchConfig {
   std::string json_path;       // "" = no JSON artifact
 };
 
-/// Flat (name, value) metric sink serialized as one JSON object; names use
-/// unit suffixes so the artifact is self-describing.
-class MetricSink {
- public:
-  void Record(const std::string& name, double value) {
-    metrics_.emplace_back(name, value);
-  }
-  bool WriteJson(const std::string& path, bool smoke) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"bench\": \"streaming_freshness\",\n");
-    std::fprintf(f, "  \"smoke\": %s", smoke ? "true" : "false");
-    for (const auto& [name, value] : metrics_) {
-      std::fprintf(f, ",\n  \"%s\": %.6g", name.c_str(), value);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> metrics_;
-};
-
 }  // namespace
 
 int Run(const BenchConfig& cfg) {
   std::printf("=== Streaming freshness benchmark%s ===\n",
               cfg.smoke ? " (smoke)" : "");
-  MetricSink sink;
+  MetricSink sink("streaming_freshness");
   data::TaobaoGeneratorOptions opt;
   opt.num_users = cfg.smoke ? 300 : 1500;
   opt.num_queries = cfg.smoke ? 200 : 800;

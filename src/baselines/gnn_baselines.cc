@@ -60,8 +60,7 @@ GnnBaselineConfig GnnBaselineConfig::PinSage(int hidden_dim, int k,
 GnnBaselineModel::GnnBaselineModel(const graph::HeteroGraph* g,
                                    const GnnBaselineConfig& config)
     : graph_(g),
-      base_view_(g),
-      view_(&base_view_),
+      view_(g),
       config_(config),
       sampler_(config.sampler),
       init_rng_(config.seed) {

@@ -62,9 +62,9 @@ class GnnBaselineModel : public core::ScoringModel {
   /// streaming::DynamicGraphView so the baselines, like ZoomerModel, train
   /// and score over base+delta neighborhoods without waiting for Compact().
   /// The view must describe the same node space as the construction graph
-  /// and outlive the model; nullptr restores the static CSR view.
+  /// and outlive the model; nullptr restores the construction graph.
   void AttachGraphView(const graph::GraphView* view) {
-    view_ = view != nullptr ? view : &base_view_;
+    view_ = view != nullptr ? view : graph_;
   }
   const graph::GraphView& view() const { return *view_; }
 
@@ -89,7 +89,6 @@ class GnnBaselineModel : public core::ScoringModel {
   tensor::Tensor EgoEmbedding(graph::NodeId ego, Rng* rng) const;
 
   const graph::HeteroGraph* graph_;
-  graph::CsrGraphView base_view_;  // default static view over graph_
   const graph::GraphView* view_;   // active view (never null)
   GnnBaselineConfig config_;
   core::RoiSampler sampler_;

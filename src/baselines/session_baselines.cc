@@ -160,7 +160,7 @@ Tensor SessionBaselineModel::ItemTower(NodeId item) const {
   if (config_.kind == SessionModelKind::kGceGnn) {
     // Global-context enhancement: merge the mean of the item's item-type
     // neighbors (session/similarity edges) into the item representation.
-    auto nbrs = graph_->NeighborsOfType(item, NodeType::kItem);
+    const auto nbrs = graph_->NeighborsOfType(item, NodeType::kItem).ids;
     if (!nbrs.empty()) {
       std::vector<Tensor> rows;
       const size_t take = std::min<size_t>(

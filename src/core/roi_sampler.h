@@ -8,10 +8,9 @@
 // style) is available for baselines/ablations via SamplerKind::kUniform.
 //
 // Sampling runs over the graph::GraphView interface, so the same code serves
-// the offline CSR and the streaming delta overlay: a trainer attached to the
-// ingest pipeline scores freshly arrived edges without waiting for a
-// compaction. Plain HeteroGraph overloads wrap the CSR adapter for callers
-// that never stream.
+// the HeteroGraph (which is its own view) and the streaming delta overlay: a
+// trainer attached to the ingest pipeline scores freshly arrived edges
+// without waiting for a compaction.
 #ifndef ZOOMER_CORE_ROI_SAMPLER_H_
 #define ZOOMER_CORE_ROI_SAMPLER_H_
 
@@ -23,7 +22,6 @@
 #include "common/random.h"
 #include "core/relevance.h"
 #include "graph/graph_view.h"
-#include "graph/hetero_graph.h"
 
 namespace zoomer {
 namespace core {
@@ -82,21 +80,12 @@ class RoiSampler {
   /// (paper Sec. V-B: focal points are the {user, query} pair).
   std::vector<float> FocalVector(const graph::GraphView& g,
                                  const std::vector<graph::NodeId>& focal) const;
-  std::vector<float> FocalVector(
-      const graph::HeteroGraph& g,
-      const std::vector<graph::NodeId>& focal) const {
-    return FocalVector(graph::CsrGraphView(g), focal);
-  }
 
   /// Samples the ROI subgraph rooted at `ego` under focal vector `fc`.
   /// Implemented as a batch of one, so single- and batched-ego sampling are
   /// bit-identical by construction.
   RoiSubgraph Sample(const graph::GraphView& g, graph::NodeId ego,
                      const std::vector<float>& fc, Rng* rng) const;
-  RoiSubgraph Sample(const graph::HeteroGraph& g, graph::NodeId ego,
-                     const std::vector<float>& fc, Rng* rng) const {
-    return Sample(graph::CsrGraphView(g), ego, fc, rng);
-  }
 
   /// Frontier-at-once batch expansion: all egos share the focal vector fc
   /// (the serving case — both the user and query egos of one request score
@@ -112,21 +101,11 @@ class RoiSampler {
                                        std::span<const graph::NodeId> egos,
                                        const std::vector<float>& fc,
                                        Rng* rng) const;
-  std::vector<RoiSubgraph> SampleBatch(const graph::HeteroGraph& g,
-                                       std::span<const graph::NodeId> egos,
-                                       const std::vector<float>& fc,
-                                       Rng* rng) const {
-    return SampleBatch(graph::CsrGraphView(g), egos, fc, rng);
-  }
 
   /// Scores a single neighbor against the focal vector (exposed for tests
   /// and the interpretability experiment).
   double Relevance(const graph::GraphView& g, const std::vector<float>& fc,
                    graph::NodeId candidate) const;
-  double Relevance(const graph::HeteroGraph& g, const std::vector<float>& fc,
-                   graph::NodeId candidate) const {
-    return Relevance(graph::CsrGraphView(g), fc, candidate);
-  }
 
   const RoiSamplerOptions& options() const { return options_; }
 

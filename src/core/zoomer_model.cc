@@ -78,8 +78,7 @@ std::vector<Tensor> SlotEmbeddings::Parameters() const {
 
 ZoomerModel::ZoomerModel(const HeteroGraph* g, const ZoomerConfig& config)
     : graph_(g),
-      base_view_(g),
-      view_(&base_view_),
+      view_(g),
       config_(config),
       sampler_(config.sampler),
       init_rng_(config.seed) {

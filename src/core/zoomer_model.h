@@ -81,9 +81,6 @@ class SlotEmbeddings {
   /// (num_slots(node) x dim) matrix of the node's feature latent vectors,
   /// resolved through any GraphView (static CSR or streaming overlay).
   tensor::Tensor Lookup(const graph::GraphView& g, graph::NodeId node) const;
-  tensor::Tensor Lookup(const graph::HeteroGraph& g, graph::NodeId node) const {
-    return Lookup(graph::CsrGraphView(g), node);
-  }
 
   /// The Lookup matrices of `nodes`, all of type `type`, stacked in order
   /// as one node: (|nodes| * num_slots(type) x dim).
@@ -160,9 +157,9 @@ class ZoomerModel : public ScoringModel {
   /// streaming::DynamicGraphView so training-time ROI construction scores
   /// base+delta neighborhoods without waiting for Compact(). The view must
   /// describe the same node space as the construction graph and outlive the
-  /// model; nullptr restores the static CSR view.
+  /// model; nullptr restores the construction graph.
   void AttachGraphView(const graph::GraphView* view) {
-    view_ = view != nullptr ? view : &base_view_;
+    view_ = view != nullptr ? view : graph_;
   }
   const graph::GraphView& view() const { return *view_; }
 
@@ -184,7 +181,6 @@ class ZoomerModel : public ScoringModel {
       std::vector<EdgeAttentionRecord>* root_weights) const;
 
   const graph::HeteroGraph* graph_;
-  graph::CsrGraphView base_view_;       // default static view over graph_
   const graph::GraphView* view_;        // active view (never null)
   ZoomerConfig config_;
   RoiSampler sampler_;

@@ -19,11 +19,9 @@ namespace {
 
 /// Distinct weighted draws via the alias table (constant-time per draw);
 /// the shared GraphView helper provides the bounded-retry dedup the
-/// production engine's draw-with-dedup uses. Takes the view abstraction so
-/// the static path (CsrGraphView over the offline HeteroGraph) and the
-/// streaming path (SegmentedCsrView over a snapshot's pinned segmented
-/// base) share one implementation.
-SampleResponse SampleFromCsr(const graph::GraphView& g,
+/// production engine's draw-with-dedup uses. The static path (the shard's
+/// graph) and the streaming path (a snapshot's pinned base) share it.
+SampleResponse SampleFromCsr(const graph::HeteroGraph& g,
                              const SampleRequest& req) {
   SampleResponse resp;
   if (g.degree(req.node) == 0) return resp;
@@ -98,7 +96,7 @@ StatusOr<SampleResponse> SampleFromSnapshot(
   }
   if (snap.DeltaDegree(req.node) == 0) {
     if (!snap.InBase(req.node)) return SampleResponse{};  // isolated
-    return SampleFromCsr(graph::SegmentedCsrView(snap.base()), req);
+    return SampleFromCsr(snap.base(), req);
   }
   std::vector<graph::NeighborEntry> merged;
   snap.Neighbors(req.node, &merged);
@@ -136,7 +134,7 @@ StatusOr<SampleResponse> GraphShard::SampleFrom(
   if (req.node >= graph_->num_nodes()) {
     return Status::InvalidArgument("node id out of range");
   }
-  return SampleFromCsr(graph::CsrGraphView(*graph_), req);
+  return SampleFromCsr(*graph_, req);
 }
 
 std::vector<StatusOr<SampleResponse>> GraphShard::SampleMany(

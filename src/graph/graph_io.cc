@@ -1,5 +1,6 @@
 #include "graph/graph_io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -334,7 +335,7 @@ StatusOr<std::shared_ptr<const CsrSegment>> LoadCsrSegment(
     wbuf.assign(seg->nbr_weight_.begin() + seg->offsets_[r2],
                 seg->nbr_weight_.begin() + seg->offsets_[r2 + 1]);
     for (double wv : wbuf) {
-      if (!(wv >= 0.0)) {
+      if (!std::isfinite(wv) || wv < 0.0) {
         return Status::InvalidArgument("invalid neighbor weight in " + path);
       }
     }

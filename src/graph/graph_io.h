@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "graph/hetero_graph.h"
-#include "graph/segmented_csr.h"
 
 namespace zoomer {
 namespace graph {

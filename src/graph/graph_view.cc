@@ -5,6 +5,24 @@
 namespace zoomer {
 namespace graph {
 
+const char* NodeTypeName(NodeType t) {
+  switch (t) {
+    case NodeType::kUser: return "user";
+    case NodeType::kQuery: return "query";
+    case NodeType::kItem: return "item";
+  }
+  return "?";
+}
+
+const char* RelationKindName(RelationKind k) {
+  switch (k) {
+    case RelationKind::kClick: return "click";
+    case RelationKind::kSession: return "session";
+    case RelationKind::kSimilarity: return "similarity";
+  }
+  return "?";
+}
+
 NeighborBlock GraphView::NeighborsOfType(NodeId id, NodeType t,
                                          NeighborScratch* scratch) const {
   const NeighborBlock all = Neighbors(id, scratch);

@@ -1,17 +1,19 @@
-// Unified read view over a heterogeneous graph (ROADMAP: delta-aware ROI
-// sampling). The ROI sampler, relevance scorer, and trainer all consume this
-// interface instead of the concrete CSR, so the same sampling code runs over
-//   - the immutable offline HeteroGraph (CsrGraphView, zero-copy spans), and
+// Node and edge vocabulary of the heterogeneous graph, and the read
+// interface every sampler consumes (ROADMAP: delta-aware ROI sampling). The
+// ROI sampler, relevance scorer, and trainer all read through GraphView, so
+// the same sampling code runs over
+//   - the immutable HeteroGraph (graph/hetero_graph.h), which implements the
+//     interface itself with zero-copy spans into its CSR segments, and
 //   - the streaming delta overlay (streaming::DynamicGraphView, epoch-pinned
 //     snapshots that merge base CSR ranges with per-node delta suffixes).
 // A training run attached to the ingest pipeline therefore scores neighbors
 // over base+delta without waiting for Compact().
 //
-// Neighbor iteration hands out a NeighborBlock of parallel spans. The static
-// view points the spans straight into the CSR arrays; dynamic views resolve
-// the merged (coalesced) block into caller-provided scratch, so the hot
-// static path stays allocation-free and the delta path pays one merge. The
-// spans are valid until the next Neighbors() call on the same scratch or any
+// Neighbor iteration hands out a NeighborBlock of parallel spans. The CSR
+// points the spans straight into its arrays; dynamic views resolve the
+// merged (coalesced) block into caller-provided scratch, so the hot static
+// path stays allocation-free and the delta path pays one merge. The spans
+// are valid until the next Neighbors() call on the same scratch or any
 // mutation of the underlying view.
 #ifndef ZOOMER_GRAPH_GRAPH_VIEW_H_
 #define ZOOMER_GRAPH_GRAPH_VIEW_H_
@@ -21,10 +23,31 @@
 #include <vector>
 
 #include "common/random.h"
-#include "graph/hetero_graph.h"
 
 namespace zoomer {
 namespace graph {
+
+using NodeId = int64_t;
+
+enum class NodeType : uint8_t { kUser = 0, kQuery = 1, kItem = 2 };
+inline constexpr int kNumNodeTypes = 3;
+
+enum class RelationKind : uint8_t {
+  kClick = 0,       // user-query, query-item interaction edges
+  kSession = 1,     // adjacent clicked items within one session
+  kSimilarity = 2,  // minHash Jaccard content similarity
+};
+inline constexpr int kNumRelationKinds = 3;
+
+const char* NodeTypeName(NodeType t);
+const char* RelationKindName(RelationKind k);
+
+/// One outgoing edge as seen from a node's neighbor block.
+struct NeighborEntry {
+  NodeId neighbor;
+  float weight;
+  RelationKind kind;
+};
 
 /// Resolved neighbor block of one node: parallel (id, weight, kind) ranges.
 struct NeighborBlock {
@@ -43,22 +66,6 @@ struct NeighborScratch {
   std::vector<float> weights;
   std::vector<RelationKind> kinds;
 };
-
-/// Zero-copy typed sub-block of a node's CSR neighbor arrays. Works over
-/// any CSR-shaped graph exposing neighbor_ids/NeighborsOfType/
-/// neighbor_weights/neighbor_kinds (the monolithic HeteroGraph and the
-/// node-partitioned SegmentedCsr). Typed-range offsets may be absolute into
-/// global arrays (HeteroGraph) or segment-local (SegmentedCsr); rebasing
-/// the typed span onto the node's block normalizes both — the one place
-/// that arithmetic lives.
-template <typename Csr>
-inline NeighborBlock TypedCsrBlock(const Csr& g, NodeId id, NodeType t) {
-  const auto ids = g.neighbor_ids(id);
-  const auto typed = g.NeighborsOfType(id, t);
-  const size_t rel = static_cast<size_t>(typed.data() - ids.data());
-  return {typed, g.neighbor_weights(id).subspan(rel, typed.size()),
-          g.neighbor_kinds(id).subspan(rel, typed.size())};
-}
 
 /// Read interface shared by the static CSR and the streaming delta overlay.
 class GraphView {
@@ -85,8 +92,7 @@ class GraphView {
 
   /// Neighbors of `id` whose endpoint is of type `t` — the grouping
   /// edge-level attention consumes (it only compares neighbors of one
-  /// type). The static view hands out the CSR's contiguous typed sub-range
-  /// zero-copy; the dynamic view merges the typed base range with only the
+  /// type). The CSR hands out its contiguous typed sub-range zero-copy; the dynamic view merges the typed base range with only the
   /// matching delta entries (no full-neighborhood merge). The default
   /// filters Neighbors() into `scratch`, correct for any view.
   virtual NeighborBlock NeighborsOfType(NodeId id, NodeType t,
@@ -100,10 +106,10 @@ class GraphView {
   /// row-major into `out` (resized to nodes.size()*k; isolated nodes leave
   /// -1 rows). Every implementation consumes the Rng draw-for-draw exactly
   /// like k SampleNeighbor calls per node in order, so the default loop and
-  /// the batched overrides are bit-identical under a fixed seed. Overrides
-  /// (CsrGraphView, SegmentedCsrView, the dynamic snapshot) pin the epoch
-  /// snapshot once per batch, prefetch CSR rows and alias buckets one node
-  /// ahead, and draw through AliasTable::SampleBatch.
+  /// the batched overrides are bit-identical under a fixed seed. The CSR
+  /// prefetches rows and alias tables one node ahead and draws through
+  /// AliasTable::SampleBatch; the dynamic snapshot pins the epoch once per
+  /// batch and draws clean rows through the CSR's loop.
   virtual void SampleManyNeighbors(std::span<const NodeId> nodes, int k,
                                    Rng* rng, std::vector<NodeId>* out) const;
 
@@ -115,43 +121,6 @@ class GraphView {
 
   /// Epoch of the freshest edit visible through this view (0 = static).
   virtual uint64_t epoch() const { return 0; }
-};
-
-/// Zero-copy adapter over the immutable CSR. Cheap to construct (stores one
-/// pointer); `base` must outlive the view.
-class CsrGraphView final : public GraphView {
- public:
-  explicit CsrGraphView(const HeteroGraph* base) : g_(base) {}
-  explicit CsrGraphView(const HeteroGraph& base) : g_(&base) {}
-
-  int64_t num_nodes() const override { return g_->num_nodes(); }
-  int content_dim() const override { return g_->content_dim(); }
-  NodeType node_type(NodeId id) const override { return g_->node_type(id); }
-  const float* content(NodeId id) const override { return g_->content(id); }
-  std::span<const int64_t> slots(NodeId id) const override {
-    return g_->slots(id);
-  }
-  int64_t degree(NodeId id) const override { return g_->degree(id); }
-  NeighborBlock Neighbors(NodeId id, NeighborScratch*) const override {
-    return {g_->neighbor_ids(id), g_->neighbor_weights(id),
-            g_->neighbor_kinds(id)};
-  }
-  NeighborBlock NeighborsOfType(NodeId id, NodeType t,
-                                NeighborScratch*) const override {
-    return TypedCsrBlock(*g_, id, t);
-  }
-  NodeId SampleNeighbor(NodeId id, Rng* rng) const override {
-    return g_->SampleNeighbor(id, rng);
-  }
-  void SampleManyNeighbors(std::span<const NodeId> nodes, int k, Rng* rng,
-                           std::vector<NodeId>* out) const override {
-    g_->SampleManyNeighbors(nodes, k, rng, out);
-  }
-
-  const HeteroGraph& csr() const { return *g_; }
-
- private:
-  const HeteroGraph* g_;
 };
 
 }  // namespace graph

@@ -400,8 +400,8 @@ StatusOr<RecoveredState> RecoverFrom(const std::string& dir,
     }
     segs.push_back(std::move(seg).value());
   }
-  auto base = graph::SegmentedCsr::FromSegments(m.segment_span,
-                                                std::move(segs));
+  auto base = graph::HeteroGraph::FromSegments(m.segment_span,
+                                               std::move(segs));
   if (!base.ok()) return base.status();
   if (base.value()->num_nodes() != m.coverage) {
     return Status::InvalidArgument(

@@ -9,7 +9,7 @@
 // Incrementality rides the segment generations: a segment file is content-
 // addressed by (index, generation), so a checkpoint after an incremental
 // fold rewrites only the segments whose generation advanced and re-
-// references the rest — the same sharing trick SegmentedCsr::Successor
+// references the rest — the same sharing trick HeteroGraph::Successor
 // plays in memory, replayed on disk.
 //
 // The invariant the manifest pins: its checkpoint epoch C is

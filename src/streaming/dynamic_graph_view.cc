@@ -10,9 +10,7 @@ graph::NeighborBlock DynamicGraphView::Neighbors(
   // overlay-born id must resolve through the snapshot even when it has no
   // deltas yet (the base arrays do not cover it).
   if (snapshot_.InBase(id) && !snapshot_.MaybeHasDelta(id)) {
-    const graph::SegmentedCsr& base = snapshot_.base();
-    return {base.neighbor_ids(id), base.neighbor_weights(id),
-            base.neighbor_kinds(id)};
+    return snapshot_.base().Neighbors(id, scratch);
   }
   snapshot_.Neighbors(id, &scratch->ids, &scratch->weights, &scratch->kinds);
   return {scratch->ids, scratch->weights, scratch->kinds};
@@ -22,7 +20,7 @@ graph::NeighborBlock DynamicGraphView::NeighborsOfType(
     graph::NodeId id, graph::NodeType t,
     graph::NeighborScratch* scratch) const {
   if (snapshot_.InBase(id) && !snapshot_.MaybeHasDelta(id)) {
-    return graph::TypedCsrBlock(snapshot_.base(), id, t);
+    return snapshot_.base().NeighborsOfType(id, t);
   }
   snapshot_.NeighborsOfType(id, t, &scratch->ids, &scratch->weights,
                             &scratch->kinds);

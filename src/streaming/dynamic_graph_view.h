@@ -57,9 +57,9 @@ class DynamicGraphView final : public graph::GraphView {
 
   /// Epoch-pinned id-space: base nodes plus overlay nodes born at or below
   /// the pinned epoch — a node ingested mid-epoch appears here only after
-  /// the next Refresh() that covers its birth epoch. The pinned base is a
-  /// SegmentedCsr; untouched segments are shared across incremental folds,
-  /// so the zero-copy spans below stay valid for this view's lifetime.
+  /// the next Refresh() that covers its birth epoch. The pinned base's
+  /// untouched segments are shared across incremental folds, so the
+  /// zero-copy spans below stay valid for this view's lifetime.
   int64_t num_nodes() const override { return snapshot_.num_nodes(); }
   int content_dim() const override { return snapshot_.base().content_dim(); }
   // Node features are immutable once ingested; the snapshot resolves base

@@ -16,7 +16,6 @@ namespace streaming {
 using graph::HeteroGraph;
 using graph::NeighborEntry;
 using graph::NodeId;
-using graph::SegmentedCsr;
 
 DynamicHeteroGraph::DynamicHeteroGraph(const HeteroGraph* base,
                                        DynamicHeteroGraphOptions options)
@@ -63,7 +62,7 @@ DynamicHeteroGraph::DynamicHeteroGraph(
   EnsureEpochSlots(overlay_origin_);
   // Generation 1 for the initial partition: 0 stays the "beyond coverage"
   // sentinel generation_of() hands out for never-folded overlay ids.
-  base_ = std::make_shared<const SegmentedCsr>(*base, span, /*generation=*/1);
+  base_ = std::make_shared<const HeteroGraph>(*base, span, /*generation=*/1);
   base_generation_.store(1, std::memory_order_release);
 }
 
@@ -374,12 +373,12 @@ void DynamicHeteroGraph::AdvanceAppliedNodePrefix() {
   applied_node_prefix_.store(prefix, std::memory_order_release);
 }
 
-std::shared_ptr<const SegmentedCsr> DynamicHeteroGraph::base() const {
+std::shared_ptr<const HeteroGraph> DynamicHeteroGraph::base() const {
   std::shared_lock<std::shared_mutex> lock(base_mu_);
   return base_;
 }
 
-std::pair<std::shared_ptr<const SegmentedCsr>, uint64_t>
+std::pair<std::shared_ptr<const HeteroGraph>, uint64_t>
 DynamicHeteroGraph::CapturedBase() const {
   std::shared_lock<std::shared_mutex> lock(base_mu_);
   return {base_, base_generation_.load(std::memory_order_acquire)};
@@ -418,7 +417,7 @@ void DynamicHeteroGraph::DetachHotNodeCache(
 
 DynamicHeteroGraph::Snapshot::Snapshot(
     const DynamicHeteroGraph* owner,
-    std::shared_ptr<const SegmentedCsr> base, uint64_t base_generation,
+    std::shared_ptr<const HeteroGraph> base, uint64_t base_generation,
     uint64_t epoch, DecaySpec decay, int64_t as_of)
     : owner_(owner),
       base_(std::move(base)),
@@ -703,7 +702,7 @@ Status DynamicHeteroGraph::RegisterNodeEvents(const DeltaBatch& batch) {
   return GrowAllocationLocked(allocated, batch.epoch);
 }
 
-void DynamicHeteroGraph::AppendHalfEdge(const SegmentedCsr& base, NodeId node,
+void DynamicHeteroGraph::AppendHalfEdge(const HeteroGraph& base, NodeId node,
                                         NeighborEntry entry, uint64_t epoch,
                                         int64_t timestamp) {
   LockShard& sh = lock_shards_[ShardFor(node)];
@@ -977,7 +976,7 @@ void DynamicHeteroGraph::Snapshot::NeighborsOfType(
   if (InBase(node)) {
     // Base neighbor blocks are sorted by (neighbor type, kind), so the typed
     // sub-range is contiguous — copy it without touching the other types.
-    const graph::NeighborBlock typed = graph::TypedCsrBlock(*base_, node, t);
+    const graph::NeighborBlock typed = base_->NeighborsOfType(node, t);
     ids->assign(typed.ids.begin(), typed.ids.end());
     weights->assign(typed.weights.begin(), typed.weights.end());
     kinds->assign(typed.kinds.begin(), typed.kinds.end());
@@ -1015,7 +1014,7 @@ NodeId DynamicHeteroGraph::Snapshot::SampleOverlayLocked(NodeId node,
                                                          const NodeOverlay& ov,
                                                          size_t prefix,
                                                          Rng* rng) const {
-  const SegmentedCsr& base = *base_;
+  const HeteroGraph& base = *base_;
   // Overlay-born nodes beyond base coverage have no base block; their
   // base_total_weight is 0 so the weighted coin below never lands on the
   // base side either.
@@ -1097,7 +1096,7 @@ NodeId DynamicHeteroGraph::Snapshot::SampleOverlayLocked(NodeId node,
 void DynamicHeteroGraph::Snapshot::SampleOverlayBatchLocked(
     NodeId node, const NodeOverlay& ov, size_t prefix, size_t kk, Rng* rng,
     NodeId* dst) const {
-  const graph::SegmentedCsr& base = *base_;
+  const HeteroGraph& base = *base_;
   const int64_t base_degree = InBase(node) ? base.degree(node) : 0;
   // Resolve the base row once: segment locate, alias table, id span. Every
   // draw below consumes the Rng exactly like one SampleOverlayLocked call,
@@ -1301,8 +1300,7 @@ std::vector<NodeId> DynamicHeteroGraph::Snapshot::SampleDistinctNeighbors(
     // Shared bounded-retry dedup draw over the base alias tables; nothing
     // to draw for an overlay-born node with no visible deltas.
     if (!InBase(node)) return;
-    seen = graph::SegmentedCsrView(*base_).SampleDistinctNeighbors(node, k,
-                                                                   rng);
+    seen = base_->SampleDistinctNeighbors(node, k, rng);
   };
   const uint64_t node_epoch =
       owner_->node_epoch_slot(node).load(std::memory_order_acquire);
@@ -1741,7 +1739,7 @@ StatusOr<uint64_t> DynamicHeteroGraph::CompactSegments(
   // Clear the folded overlays; carry over what the fold could not absorb
   // (entries past the fold epoch or touching a not-yet-foldable node),
   // rebuilt against the new base. Overlays of unselected segments are not
-  // touched — their base rows are shared with the old SegmentedCsr.
+  // touched — their base rows are shared with the old HeteroGraph.
   int64_t removed_total = 0;
   std::unordered_map<int64_t, int64_t> retained_per_seg;
   for (int64_t s : segments) retained_per_seg.emplace(s, 0);

@@ -5,11 +5,11 @@
 // serving-path samplers and aggregators observe a consistent graph while the
 // ingestion pipeline keeps applying batches.
 //
-// Storage layout (incremental compaction): the base is not one monolithic
-// CSR but a graph::SegmentedCsr — fixed-span contiguous row ranges, each an
-// independently rebuildable immutable segment with its own generation.
+// Storage layout (incremental compaction): the base is the offline graph
+// repartitioned into fixed-span contiguous row ranges (graph::CsrSegment),
+// each independently rebuildable and stamped with its own generation.
 // CompactSegments(dirty_set) folds the delta overlays of only the selected
-// segments into fresh CsrSegments and publishes a successor SegmentedCsr
+// segments into fresh CsrSegments and publishes a successor HeteroGraph
 // that *shares* every untouched segment, so
 //   - the fold pause scales with the dirty fraction, not the graph size,
 //   - snapshots pinned before the fold keep reading their old segments
@@ -99,7 +99,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "graph/hetero_graph.h"
-#include "graph/segmented_csr.h"
 #include "streaming/edge_decay.h"
 #include "streaming/graph_delta_log.h"
 
@@ -183,9 +182,9 @@ class DynamicHeteroGraph {
   struct NodeOverlay;
 
  public:
-  /// Partitions `base` into the segmented serving CSR (row payloads and
-  /// neighbor blocks copied verbatim, so reads match the offline CSR
-  /// bit-for-bit). The original HeteroGraph is not referenced afterwards.
+  /// Repartitions `base` into segment_span-row segments (rows and alias
+  /// tables copied verbatim, so every read and draw matches `base` bit for
+  /// bit). `base` is not referenced afterwards.
   explicit DynamicHeteroGraph(const graph::HeteroGraph* base,
                               DynamicHeteroGraphOptions options = {});
   explicit DynamicHeteroGraph(std::shared_ptr<const graph::HeteroGraph> base,
@@ -219,7 +218,7 @@ class DynamicHeteroGraph {
   /// my segment's fold" from "neighbor was carried"), plus full records of
   /// ids past base coverage.
   struct RecoveryImage {
-    std::shared_ptr<const graph::SegmentedCsr> base;
+    std::shared_ptr<const graph::HeteroGraph> base;
     /// SafeTruncateEpoch at capture; the recovered graph starts with
     /// epoch() == watermark_epoch() == this, and replay resumes above it.
     uint64_t checkpoint_epoch = 0;
@@ -387,7 +386,7 @@ class DynamicHeteroGraph {
   /// bump the generation inside the same exclusive section that swaps the
   /// base, so a capture can never pair an old base with a new generation.
   /// Used by snapshots and by the persist layer's CheckpointWriter.
-  std::pair<std::shared_ptr<const graph::SegmentedCsr>, uint64_t>
+  std::pair<std::shared_ptr<const graph::HeteroGraph>, uint64_t>
   CapturedBase() const;
 
   /// The node's overlay version: epoch of its newest delta entry (0 = no
@@ -428,7 +427,7 @@ class DynamicHeteroGraph {
   /// their TTL at as_of are invisible and the rest carry decayed weights.
   class Snapshot {
    public:
-    const graph::SegmentedCsr& base() const { return *base_; }
+    const graph::HeteroGraph& base() const { return *base_; }
     uint64_t epoch() const { return epoch_; }
     uint64_t base_generation() const { return base_generation_; }
     /// Generation of the segment backing `node` in this snapshot's pinned
@@ -527,7 +526,7 @@ class DynamicHeteroGraph {
    private:
     friend class DynamicHeteroGraph;
     Snapshot(const DynamicHeteroGraph* owner,
-             std::shared_ptr<const graph::SegmentedCsr> base,
+             std::shared_ptr<const graph::HeteroGraph> base,
              uint64_t base_generation, uint64_t epoch, DecaySpec decay,
              int64_t as_of);
 
@@ -575,7 +574,7 @@ class DynamicHeteroGraph {
                                   graph::NodeId* dst) const;
 
     const DynamicHeteroGraph* owner_;
-    std::shared_ptr<const graph::SegmentedCsr> base_;
+    std::shared_ptr<const graph::HeteroGraph> base_;
     uint64_t epoch_;
     uint64_t base_generation_;
     int64_t num_nodes_;  // pinned id-space (base + visible overlay nodes)
@@ -630,7 +629,7 @@ class DynamicHeteroGraph {
 
   /// Current segmented base (changes only at folds; snapshots pin their
   /// own).
-  std::shared_ptr<const graph::SegmentedCsr> base() const;
+  std::shared_ptr<const graph::HeteroGraph> base() const;
 
   /// Rows per segment and current segment count covering the *allocated*
   /// id-space (>= base coverage once ids grow past it).
@@ -718,7 +717,7 @@ class DynamicHeteroGraph {
     return static_cast<int>(h % kNumLockShards);
   }
 
-  void AppendHalfEdge(const graph::SegmentedCsr& base, graph::NodeId node,
+  void AppendHalfEdge(const graph::HeteroGraph& base, graph::NodeId node,
                       graph::NeighborEntry entry, uint64_t epoch,
                       int64_t timestamp);
 
@@ -817,7 +816,7 @@ class DynamicHeteroGraph {
   /// std::atomic<shared_ptr>'s internal spinlock the protocol is visible to
   /// ThreadSanitizer, which the CI race job relies on.
   mutable std::shared_mutex base_mu_;
-  std::shared_ptr<const graph::SegmentedCsr> base_;  // guarded by base_mu_
+  std::shared_ptr<const graph::HeteroGraph> base_;  // guarded by base_mu_
 
   /// Shared body of the MakeSnapshot overloads: resolves the effective
   /// window (override, or the graph default when null) and clock in one

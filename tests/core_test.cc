@@ -110,22 +110,22 @@ TEST(RoiSamplerTest, FocalTopKSelectsRelevantNeighbors) {
   }
 }
 
-TEST(RoiSamplerTest, GraphViewPathMatchesCsrOverload) {
-  // The HeteroGraph overloads wrap CsrGraphView; sampling through an
-  // explicit view must be bit-identical for the deterministic focal-top-k
-  // kind (same scores, same tiebreaks, same rng consumption).
+TEST(RoiSamplerTest, RepartitionedGraphSamplesTheSameRoi) {
+  // The built graph is one segment; the streaming base repartitions it.
+  // Sampling through either must be bit-identical for the deterministic
+  // focal-top-k kind (same scores, same tiebreaks, same rng consumption).
   HeteroGraph g = MakeStarGraph(6, 6);
+  const HeteroGraph parts(g, /*span=*/2);
   RoiSamplerOptions opt;
   opt.k = 4;
   opt.num_hops = 1;
   RoiSampler sampler(opt);
-  graph::CsrGraphView view(g);
-  auto fc_csr = sampler.FocalVector(g, {0, 1});
-  auto fc_view = sampler.FocalVector(view, {0, 1});
-  EXPECT_EQ(fc_csr, fc_view);
+  auto fc_built = sampler.FocalVector(g, {0, 1});
+  auto fc_parts = sampler.FocalVector(parts, {0, 1});
+  EXPECT_EQ(fc_built, fc_parts);
   Rng r1(3), r2(3);
-  RoiSubgraph a = sampler.Sample(g, 0, fc_csr, &r1);
-  RoiSubgraph b = sampler.Sample(view, 0, fc_view, &r2);
+  RoiSubgraph a = sampler.Sample(g, 0, fc_built, &r1);
+  RoiSubgraph b = sampler.Sample(parts, 0, fc_parts, &r2);
   ASSERT_EQ(a.size(), b.size());
   for (int i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.nodes[i].id, b.nodes[i].id);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "graph/graph_view.h"
 #include "graph/hetero_graph.h"
 #include "graph/minhash.h"
-#include "graph/segmented_csr.h"
 #include "graph/session_log.h"
 
 namespace zoomer {
@@ -211,9 +212,9 @@ TEST(HeteroGraphTest, NeighborBlocksSortedByType) {
   EXPECT_EQ(ids[0], 1);
   EXPECT_EQ(ids[1], 2);
   auto q_nbrs = g.NeighborsOfType(0, NodeType::kQuery);
-  ASSERT_EQ(q_nbrs.size(), 1u);
-  EXPECT_EQ(q_nbrs[0], 1);
-  EXPECT_EQ(g.NeighborsOfType(0, NodeType::kUser).size(), 0u);
+  ASSERT_EQ(q_nbrs.size(), 1);
+  EXPECT_EQ(q_nbrs.ids[0], 1);
+  EXPECT_TRUE(g.NeighborsOfType(0, NodeType::kUser).empty());
 }
 
 TEST(HeteroGraphTest, EdgeWeightsAndKindsPreserved) {
@@ -248,24 +249,6 @@ TEST(HeteroGraphTest, SampleNeighborIsolatedNodeReturnsMinusOne) {
   EXPECT_EQ(g.SampleNeighbor(0, &rng), -1);
 }
 
-TEST(HeteroGraphTest, SampleNeighborsUniformDistinct) {
-  HeteroGraphBuilder b(1);
-  b.AddNode(NodeType::kUser, {0.0f}, {});
-  for (int i = 0; i < 20; ++i) {
-    b.AddNode(NodeType::kItem, {0.0f}, {});
-    EXPECT_TRUE(b.AddEdge(0, i + 1, RelationKind::kClick).ok());
-  }
-  HeteroGraph g = b.Build();
-  Rng rng(13);
-  auto sample = g.SampleNeighborsUniform(0, 8, &rng);
-  EXPECT_EQ(sample.size(), 8u);
-  std::set<NodeId> uniq(sample.begin(), sample.end());
-  EXPECT_EQ(uniq.size(), 8u);
-  // Degree smaller than k returns the full block.
-  auto all = g.SampleNeighborsUniform(0, 50, &rng);
-  EXPECT_EQ(all.size(), 20u);
-}
-
 TEST(HeteroGraphBuilderTest, RejectsBadEdges) {
   HeteroGraphBuilder b(1);
   b.AddNode(NodeType::kUser, {0.0f}, {});
@@ -274,6 +257,13 @@ TEST(HeteroGraphBuilderTest, RejectsBadEdges) {
   EXPECT_FALSE(b.AddEdge(0, 5, RelationKind::kClick).ok());   // out of range
   EXPECT_FALSE(b.AddEdge(-1, 1, RelationKind::kClick).ok());  // negative
   EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick, -2.0f).ok());  // neg w
+  // Non-finite weights: NaN would abort the alias build, +inf would make
+  // every other neighbor of the node undrawable.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick, std::nanf("")).ok());
+  EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick, kInf).ok());
+  EXPECT_FALSE(b.AddEdge(0, 1, RelationKind::kClick, -kInf).ok());
+  EXPECT_EQ(b.num_edges_added(), 0);
   EXPECT_TRUE(b.AddEdge(0, 1, RelationKind::kClick, 1.0f).ok());
 }
 
@@ -281,6 +271,22 @@ TEST(HeteroGraphTest, MemoryBytesPositiveAndDebugString) {
   HeteroGraph g = MakeTriangleGraph();
   EXPECT_GT(g.MemoryBytes(), 0u);
   EXPECT_NE(g.DebugString().find("nodes=3"), std::string::npos);
+}
+
+TEST(HeteroGraphTest, BuilderEmitsOneSegmentAtTheNextPowerOfTwo) {
+  HeteroGraph g = MakeTriangleGraph();
+  EXPECT_EQ(g.num_segments(), 1);
+  EXPECT_EQ(g.segment_span(), 4);
+  EXPECT_EQ(g.segment(0).first_node(), 0);
+  EXPECT_EQ(g.segment(0).num_rows(), 3);
+  EXPECT_EQ(g.generation_of(2), 1u);
+  EXPECT_EQ(g.generation_of(4), 0u);  // beyond the last segment
+
+  const HeteroGraph empty = HeteroGraphBuilder(2).Build();
+  EXPECT_EQ(empty.num_nodes(), 0);
+  EXPECT_EQ(empty.num_edges(), 0);
+  EXPECT_EQ(empty.num_segments(), 0);
+  EXPECT_EQ(empty.content_dim(), 2);
 }
 
 // --- Graph construction from logs ---------------------------------------------
@@ -419,12 +425,13 @@ TEST(GraphBuilderTest, RejectsInvalidLogs) {
   EXPECT_FALSE(BuildGraphFromLogs({}, {}, opt).ok());  // empty nodes
 }
 
-// --- SegmentedCsr (node-partitioned base for incremental compaction) --------
+// --- Segments (repartitioning, the incremental-compaction base) ------------
 
 /// A graph wide enough to span several 4-row segments, with deterministic
 /// structure: users 0..3, queries 4..7, items 8..15, edges wired so every
-/// row has a non-trivial typed block.
-HeteroGraph MakeWideGraph() {
+/// row has a non-trivial typed block; `isolated` more items follow with no
+/// edges.
+HeteroGraph MakeWideGraph(int isolated = 0) {
   HeteroGraphBuilder b(2);
   for (int i = 0; i < 4; ++i) {
     b.AddNode(NodeType::kUser, {1.0f * i, 0.0f}, {i});
@@ -432,7 +439,7 @@ HeteroGraph MakeWideGraph() {
   for (int i = 0; i < 4; ++i) {
     b.AddNode(NodeType::kQuery, {0.0f, 1.0f * i}, {10 + i, 20 + i});
   }
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 8 + isolated; ++i) {
     b.AddNode(NodeType::kItem, {0.5f, 0.5f * i}, {30 + i});
   }
   for (NodeId u = 0; u < 4; ++u) {
@@ -448,69 +455,101 @@ HeteroGraph MakeWideGraph() {
   return b.Build();
 }
 
-TEST(SegmentedCsrTest, PartitionMatchesSourceRowForRow) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, /*span=*/4);
-  EXPECT_EQ(seg.num_nodes(), g.num_nodes());
-  EXPECT_EQ(seg.num_edges(), g.num_edges());
-  EXPECT_EQ(seg.content_dim(), g.content_dim());
-  EXPECT_EQ(seg.num_segments(), 4);
-  EXPECT_EQ(seg.segment_span(), 4);
+void ExpectSameBlock(const NeighborBlock& a, const NeighborBlock& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (int64_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(a.ids[i], b.ids[i]);
+    EXPECT_EQ(a.weights[i], b.weights[i]);
+    EXPECT_EQ(a.kinds[i], b.kinds[i]);
+  }
+}
+
+/// Every accessor, typed block and draw sequence of `part` equals `src`'s.
+void ExpectSameGraph(const HeteroGraph& part, const HeteroGraph& src) {
+  EXPECT_EQ(part.num_nodes(), src.num_nodes());
+  EXPECT_EQ(part.num_edges(), src.num_edges());
+  EXPECT_EQ(part.content_dim(), src.content_dim());
   for (int t = 0; t < kNumNodeTypes; ++t) {
-    EXPECT_EQ(seg.num_nodes_of_type(static_cast<NodeType>(t)),
-              g.num_nodes_of_type(static_cast<NodeType>(t)));
+    EXPECT_EQ(part.num_nodes_of_type(static_cast<NodeType>(t)),
+              src.num_nodes_of_type(static_cast<NodeType>(t)));
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(seg.node_type(v), g.node_type(v));
-    EXPECT_EQ(seg.degree(v), g.degree(v));
-    for (int d = 0; d < g.content_dim(); ++d) {
-      EXPECT_FLOAT_EQ(seg.content(v)[d], g.content(v)[d]);
+  NeighborScratch s1, s2;
+  for (NodeId v = 0; v < src.num_nodes(); ++v) {
+    EXPECT_EQ(part.node_type(v), src.node_type(v));
+    EXPECT_EQ(part.degree(v), src.degree(v));
+    for (int d = 0; d < src.content_dim(); ++d) {
+      EXPECT_EQ(part.content(v)[d], src.content(v)[d]);
     }
-    ASSERT_EQ(seg.slots(v).size(), g.slots(v).size());
-    for (size_t i = 0; i < g.slots(v).size(); ++i) {
-      EXPECT_EQ(seg.slots(v)[i], g.slots(v)[i]);
+    ASSERT_EQ(part.slots(v).size(), src.slots(v).size());
+    for (size_t i = 0; i < src.slots(v).size(); ++i) {
+      EXPECT_EQ(part.slots(v)[i], src.slots(v)[i]);
     }
-    auto sids = seg.neighbor_ids(v);
-    auto gids = g.neighbor_ids(v);
-    ASSERT_EQ(sids.size(), gids.size());
-    for (size_t i = 0; i < gids.size(); ++i) {
-      EXPECT_EQ(sids[i], gids[i]);
-      EXPECT_FLOAT_EQ(seg.neighbor_weights(v)[i], g.neighbor_weights(v)[i]);
-      EXPECT_EQ(seg.neighbor_kinds(v)[i], g.neighbor_kinds(v)[i]);
-    }
+    ExpectSameBlock(part.Neighbors(v, &s1), src.Neighbors(v, &s2));
+    ExpectSameBlock({part.neighbor_ids(v), part.neighbor_weights(v),
+                     part.neighbor_kinds(v)},
+                    src.Neighbors(v, &s2));
     for (int t = 0; t < kNumNodeTypes; ++t) {
-      auto styped = seg.NeighborsOfType(v, static_cast<NodeType>(t));
-      auto gtyped = g.NeighborsOfType(v, static_cast<NodeType>(t));
-      ASSERT_EQ(styped.size(), gtyped.size());
-      for (size_t i = 0; i < gtyped.size(); ++i) {
-        EXPECT_EQ(styped[i], gtyped[i]);
+      const auto type = static_cast<NodeType>(t);
+      // The typed block is the matching slice of the row's parallel spans.
+      const NeighborBlock typed = part.NeighborsOfType(v, type);
+      ExpectSameBlock(typed, src.NeighborsOfType(v, type));
+      ExpectSameBlock(part.NeighborsOfType(v, type, &s1), typed);
+      for (int64_t i = 0; i < typed.size(); ++i) {
+        EXPECT_EQ(part.node_type(typed.ids[i]), type);
       }
+    }
+  }
+  // Identical alias layouts + identical seeds => identical draws, batched
+  // or one at a time, and the batch consumes the Rng like the loop.
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < src.num_nodes(); ++v) nodes.push_back(v);
+  for (NodeId v = src.num_nodes() - 1; v >= 0; v -= 3) nodes.push_back(v);
+  const int k = 7;
+  Rng rp(41), rs(41), looped(41);
+  std::vector<NodeId> got, want;
+  part.SampleManyNeighbors({nodes.data(), nodes.size()}, k, &rp, &got);
+  src.SampleManyNeighbors({nodes.data(), nodes.size()}, k, &rs, &want);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.size(), nodes.size() * k);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (int j = 0; j < k; ++j) {
+      EXPECT_EQ(got[i * k + j], part.SampleNeighbor(nodes[i], &looped))
+          << "node " << nodes[i] << " draw " << j;
+    }
+  }
+  const uint64_t next = rp.NextUint64();
+  EXPECT_EQ(next, looped.NextUint64());
+  EXPECT_EQ(next, rs.NextUint64());
+}
+
+TEST(SegmentedCsrTest, PartitionMatchesSourceRowForRow) {
+  // The wide graph, the same with an isolated tail node, and the empty
+  // graph; each repartitioned at spans 1, 64, n and 2n.
+  for (const int isolated : {0, 1, -1}) {
+    const HeteroGraph g =
+        isolated >= 0 ? MakeWideGraph(isolated) : HeteroGraphBuilder(2).Build();
+    const int64_t n = g.num_nodes();
+    int64_t pow2 = 1;
+    while (pow2 < n) pow2 <<= 1;
+    for (const int64_t span : {int64_t{1}, int64_t{64}, pow2, 2 * pow2}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " span=" << span);
+      const HeteroGraph part(g, span, /*generation=*/3);
+      EXPECT_EQ(part.segment_span(), span);
+      EXPECT_EQ(part.num_segments(), (n + span - 1) / span);
+      for (int64_t s = 0; s < part.num_segments(); ++s) {
+        EXPECT_EQ(part.segment(s).first_node(), s * span);
+        EXPECT_EQ(part.segment_generation(s), 3u);
+      }
+      ExpectSameGraph(part, g);
     }
   }
 }
 
-TEST(SegmentedCsrTest, TypedCsrBlockAlignsParallelSpans) {
+TEST(SegmentedCsrTest, SamplingMatchesEdgeWeights) {
   HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int t = 0; t < kNumNodeTypes; ++t) {
-      const NeighborBlock sb = TypedCsrBlock(seg, v, static_cast<NodeType>(t));
-      const NeighborBlock gb = TypedCsrBlock(g, v, static_cast<NodeType>(t));
-      ASSERT_EQ(sb.size(), gb.size());
-      for (int64_t i = 0; i < gb.size(); ++i) {
-        EXPECT_EQ(sb.ids[i], gb.ids[i]);
-        EXPECT_FLOAT_EQ(sb.weights[i], gb.weights[i]);
-        EXPECT_EQ(sb.kinds[i], gb.kinds[i]);
-      }
-    }
-  }
-}
-
-TEST(SegmentedCsrTest, SamplingMatchesMonolithicDistribution) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
+  const HeteroGraph seg(g, 4);
   // Query 4's weighted item distribution through the segment alias tables
-  // must match the exact weights (same guarantee the monolithic CSR gives).
+  // must match the exact weights.
   const NodeId q = 4;
   std::map<NodeId, double> want;
   double total = 0.0;
@@ -529,7 +568,7 @@ TEST(SegmentedCsrTest, SamplingMatchesMonolithicDistribution) {
 
 TEST(SegmentedCsrTest, SuccessorSharesUntouchedSegments) {
   HeteroGraph g = MakeWideGraph();
-  auto base = std::make_shared<const SegmentedCsr>(g, 4, /*generation=*/1);
+  auto base = std::make_shared<const HeteroGraph>(g, 4, /*generation=*/1);
   // Rebuild segment 1 (rows 4..7) with one extra edge on row 4.
   CsrSegmentBuilder builder(4, 4, g.content_dim(), /*generation=*/2,
                             [&g](NodeId id) { return g.node_type(id); });
@@ -565,55 +604,7 @@ TEST(SegmentedCsrTest, SuccessorSharesUntouchedSegments) {
   EXPECT_EQ(old_span.size(), static_cast<size_t>(base->degree(4)));
 }
 
-TEST(SegmentedCsrViewTest, GraphViewParityWithCsrGraphView) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  SegmentedCsrView sv(seg);
-  CsrGraphView cv(g);
-  NeighborScratch s1, s2;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(sv.degree(v), cv.degree(v));
-    const NeighborBlock a = sv.Neighbors(v, &s1);
-    const NeighborBlock b = cv.Neighbors(v, &s2);
-    ASSERT_EQ(a.size(), b.size());
-    for (int64_t i = 0; i < b.size(); ++i) {
-      EXPECT_EQ(a.ids[i], b.ids[i]);
-      EXPECT_FLOAT_EQ(a.weights[i], b.weights[i]);
-    }
-    // Identical alias layouts + identical RNG stream => identical draws.
-    Rng ra(7 + v), rb(7 + v);
-    for (int i = 0; i < 32; ++i) {
-      EXPECT_EQ(sv.SampleNeighbor(v, &ra), cv.SampleNeighbor(v, &rb));
-    }
-  }
-}
-
 // --- Batched sampling (SampleManyNeighbors) ----------------------------------
-
-TEST(SampleManyNeighborsTest, MatchesSingleDrawLoopOnBothStaticViews) {
-  HeteroGraph g = MakeWideGraph();
-  SegmentedCsr seg(g, 4);
-  CsrGraphView cv(g);
-  SegmentedCsrView sv(seg);
-  std::vector<NodeId> nodes;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(v);
-  const int k = 7;
-  for (const GraphView* view : {static_cast<const GraphView*>(&cv),
-                                static_cast<const GraphView*>(&sv)}) {
-    // Contract: identical seed => the batch is bit-identical to the loop.
-    Rng batched(41), looped(41);
-    std::vector<NodeId> got;
-    view->SampleManyNeighbors({nodes.data(), nodes.size()}, k, &batched, &got);
-    ASSERT_EQ(got.size(), nodes.size() * k);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      for (int j = 0; j < k; ++j) {
-        EXPECT_EQ(got[i * k + j], view->SampleNeighbor(nodes[i], &looped))
-            << "node " << nodes[i] << " draw " << j;
-      }
-    }
-    EXPECT_EQ(batched.NextUint64(), looped.NextUint64());
-  }
-}
 
 TEST(SampleManyNeighborsTest, IsolatedNodesYieldMinusOneRows) {
   HeteroGraphBuilder b(1);
@@ -621,8 +612,8 @@ TEST(SampleManyNeighborsTest, IsolatedNodesYieldMinusOneRows) {
   b.AddNode(NodeType::kItem, {0.0f}, {});
   b.AddNode(NodeType::kItem, {0.0f}, {});
   EXPECT_TRUE(b.AddEdge(1, 2, RelationKind::kClick).ok());
-  HeteroGraph g = b.Build();
-  CsrGraphView view(g);
+  const HeteroGraph g = b.Build();
+  const GraphView& view = g;
   // Isolated nodes consume no RNG on either path, so rows after them still
   // line up with the loop.
   std::vector<NodeId> nodes = {0, 1, 0, 2};
@@ -642,8 +633,8 @@ TEST(SampleManyNeighborsTest, IsolatedNodesYieldMinusOneRows) {
 }
 
 TEST(SampleManyNeighborsTest, KZeroAndEmptyBatchAreEmpty) {
-  HeteroGraph g = MakeTriangleGraph();
-  CsrGraphView view(g);
+  const HeteroGraph g = MakeTriangleGraph();
+  const GraphView& view = g;
   Rng rng(1);
   std::vector<NodeId> out = {99};
   view.SampleManyNeighbors({}, 4, &rng, &out);

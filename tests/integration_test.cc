@@ -3,8 +3,12 @@
 // the full production pipeline of paper Sec. VI in one process.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "core/trainer.h"
 #include "core/zoomer_model.h"
@@ -67,6 +71,34 @@ TEST(GraphIoTest, LoadRejectsMissingAndCorruptFiles) {
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
   auto result = graph::LoadGraph(path);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  // A well-formed file whose one edge weight is NaN: a Status, not an
+  // abort in the alias build.
+  graph::HeteroGraphBuilder b(1);
+  b.AddNode(graph::NodeType::kUser, {0.0f}, {});
+  b.AddNode(graph::NodeType::kItem, {0.0f}, {});
+  const float marker = 1234.5f;
+  ASSERT_TRUE(b.AddEdge(0, 1, graph::RelationKind::kClick, marker).ok());
+  ASSERT_TRUE(graph::SaveGraph(b.Build(), path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string needle(reinterpret_cast<const char*>(&marker),
+                           sizeof(marker));
+  const size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  const float nan = std::nanf("");
+  bytes.replace(at, sizeof(nan),
+                std::string(reinterpret_cast<const char*>(&nan), sizeof(nan)));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  result = graph::LoadGraph(path);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());

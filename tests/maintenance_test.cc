@@ -889,14 +889,15 @@ TEST(NeighborsOfTypeTest, DynamicViewMergesTypedRangeWithoutFullMerge) {
   // Untouched node: the static view's zero-copy sub-span semantics.
   graph::NeighborScratch s2;
   auto untouched = view.NeighborsOfType(3, NodeType::kQuery, &s2);
-  graph::CsrGraphView csr(g);
+  const graph::GraphView& csr = g;
   graph::NeighborScratch s3;
   auto expect = csr.NeighborsOfType(3, NodeType::kQuery, &s3);
   ASSERT_EQ(untouched.size(), expect.size());
   for (int64_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(untouched.ids[i], expect.ids[i]);
   }
-  EXPECT_EQ(expect.ids.data(), g.NeighborsOfType(3, NodeType::kQuery).data());
+  EXPECT_EQ(expect.ids.data(),
+            g.NeighborsOfType(3, NodeType::kQuery).ids.data());
 }
 
 // --- GNN baselines through GraphView ----------------------------------------

@@ -5,15 +5,18 @@
 // artifact, and the janitor CheckpointPolicy cadence.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/roi_sampler.h"
+#include "graph/graph_io.h"
 #include "maintenance/checkpoint_policy.h"
 #include "persist/checkpoint.h"
 #include "persist/wal.h"
@@ -493,6 +496,29 @@ TEST(RecoveryTest, CorruptSegmentFailsCleanly) {
   auto st = RecoverFrom(dir.path, {opts, nullptr});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RecoveryTest, NonFiniteSegmentWeightFailsToLoad) {
+  // A segment whose payload checksums fine but carries a +inf weight: the
+  // alias table would send every draw of the row to that one edge.
+  TempDir dir("inf_weight");
+  for (const float w : {2.0f, std::numeric_limits<float>::infinity()}) {
+    graph::CsrSegmentBuilder builder(
+        0, 2, kDim, /*generation=*/1,
+        [](NodeId id) { return id == 0 ? NodeType::kUser : NodeType::kItem; });
+    const std::vector<float> c(kDim, 0.5f);
+    builder.AddRow(NodeType::kUser, c, {}, {{1, w, RelationKind::kClick}});
+    builder.AddRow(NodeType::kItem, c, {}, {{0, 1.0f, RelationKind::kClick}});
+    const std::string path = dir.path + "/seg.bin";
+    ASSERT_TRUE(graph::SaveCsrSegment(*builder.Build(), path).ok());
+    auto loaded = graph::LoadCsrSegment(path);
+    if (std::isfinite(w)) {
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    } else {
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(RecoveryTest, MissingSegmentFailsCleanly) {
